@@ -23,6 +23,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iostream>
+
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
 #include "alloc/replica_batch.hh"
@@ -209,4 +211,13 @@ BENCHMARK(BM_PdSolve)
     ->Args({6400, 0})
     ->Args({6400, static_cast<long>(ThreadPool::hardwareChunks())});
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    std::cout << "round kernel: " << roundKernelName() << "\n";
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+}

@@ -645,11 +645,11 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     // experiment runs in.  Runs block-wise in two passes: pass 1
     // gathers the CSR diffusion into e_ (irregular, stays scalar),
     // pass 2 hands the block's seven contiguous streams to
-    // stepBlockQuad, whose branchless body the compiler (or the
-    // DPC_AVX2 intrinsics path) vectorizes.  Per-node arithmetic is
-    // unchanged -- e_now round-trips through e_[i] instead of a
-    // register, which is exact -- so the restructuring is bitwise
-    // invisible.  Blocks are L1-resident so pass 2 rereads warm
+    // stepBlockQuad, which runs the widest SIMD twin the CPU
+    // supports (cpuid-dispatched, bitwise equal to the scalar
+    // body).  Per-node arithmetic is unchanged -- e_now round-trips
+    // through e_[i] instead of a register, which is exact -- so the
+    // restructuring is bitwise invisible.  Blocks are L1-resident so pass 2 rereads warm
     // lines; raw restrict pointers keep the indexed loads out of
     // the vector wrappers and promise the compiler the streams
     // never alias.
@@ -1996,8 +1996,8 @@ DibaAllocator::sweepMatchingRange(std::size_t base,
     // delivered exchanges.  The matching is vertex-disjoint, so no
     // node appears in two lanes and the gather/kernel/scatter is
     // race-free across chunks; the block kernel is lane-for-lane
-    // the scalar tick's arithmetic, so any chunking (and the AVX2
-    // path) produces bitwise-identical state.  The constant
+    // the scalar tick's arithmetic, so any chunking (and any SIMD
+    // twin) produces bitwise-identical state.  The constant
     // utility lanes come straight from the per-coloring cache
     // (ensureSweepCache): only p/e/eta are gathered and scattered.
     const std::uint32_t *DPC_RESTRICT uv =

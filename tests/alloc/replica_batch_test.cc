@@ -34,17 +34,20 @@ invariantDrift(const ReplicaBatch &batch, std::size_t r)
            batch.budget(r);
 }
 
-TEST(ReplicaBatchTest, PerfectLaneIsBitwiseIdenticalToStandalone)
+/**
+ * Standalone dense iterate() (stepBlockQuad: the cpuid-dispatched
+ * twin) against a one-lane batch (scalar quadNodeDp per node).
+ */
+void
+expectPerfectLaneMatchesStandalone(const Graph &g,
+                                   const AllocationProblem &prob,
+                                   int rounds)
 {
-    const std::size_t n = 96;
-    const auto prob = test::npbProblem(n, 172.0, 21);
-    const Graph g = makeRing(n);
-
     DibaAllocator solo(g, DibaAllocator::Config{});
     solo.reset(prob);
     ReplicaBatch batch(g, prob, {ReplicaSpec{}});
 
-    for (int r = 0; r < 400; ++r) {
+    for (int r = 0; r < rounds; ++r) {
         const double m_solo = solo.iterate();
         const double m_batch = batch.stepAll();
         ASSERT_EQ(m_solo, m_batch) << "max |dp| at round " << r;
@@ -53,9 +56,30 @@ TEST(ReplicaBatchTest, PerfectLaneIsBitwiseIdenticalToStandalone)
     const auto es = solo.estimates();
     const auto pb = batch.powerOf(0);
     const auto eb = batch.estimatesOf(0);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < g.numVertices(); ++i) {
         EXPECT_EQ(ps[i], pb[i]) << "power at node " << i;
         EXPECT_EQ(es[i], eb[i]) << "estimate at node " << i;
+    }
+}
+
+TEST(ReplicaBatchTest, PerfectLaneIsBitwiseIdenticalToStandalone)
+{
+    {
+        const std::size_t n = 96;
+        SCOPED_TRACE("ring, n=96");
+        expectPerfectLaneMatchesStandalone(
+            makeRing(n), test::npbProblem(n, 172.0, 21), 400);
+    }
+    {
+        // n = 1003 is no multiple of 4 or 8: the last 512-node
+        // block of every round ends in the dispatched twin's
+        // in-target scalar tail.
+        const std::size_t n = 1003;
+        SCOPED_TRACE("chordal ring, n=1003");
+        Rng topo_rng(5);
+        expectPerfectLaneMatchesStandalone(
+            makeChordalRing(n, n / 5, topo_rng),
+            test::npbProblem(n, 172.0, 22), 2000);
     }
 }
 

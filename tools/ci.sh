@@ -2,8 +2,13 @@
 # Full local CI: everything a reviewer would want green before
 # merging, in the order that fails fastest.
 #
-#   1. scalar Release build + full ctest        (correctness)
-#   2. AVX2 build + full ctest                  (bitwise SIMD parity)
+#   1. Release build + full ctest               (correctness, and
+#                                                bitwise parity of
+#                                                every round-kernel
+#                                                twin the host runs:
+#                                                the library picks
+#                                                the widest one from
+#                                                cpuid)
 #      + bench smoke runs of gossip_async and the multi-lane
 #        packet engine (bitwise bars only; DPC_BENCH_SMOKE=1)
 #      + loopback-vs-socket + overlap parity smoke: wire_shard
@@ -22,16 +27,12 @@
 #        SIGSTOPs) forked shards mid-run under UDP and TCP and
 #        demands detection within deadline, partition-aware
 #        re-federation, and bitwise survivor parity
-#      + AVX-512 compile smoke: the -DDPC_AVX512 configuration
-#        builds and its parity suite runs (the suite self-skips on
-#        hosts without AVX-512F, so this is always safe; on capable
-#        hosts it is the full 8-wide bitwise pin)
-#   3. ASan suite                               (memory safety)
-#   4. UBSan suite                              (UB: shifts, casts,
+#   2. ASan suite                               (memory safety)
+#   3. UBSan suite                              (UB: shifts, casts,
 #                                                signed overflow)
-#   5. TSan round-engine suite                  (determinism under
+#   4. TSan round-engine suite                  (determinism under
 #                                                real threads)
-#   6. bench suite + bench_compare gate         (perf + quality
+#   5. bench suite + bench_compare gate         (perf + quality
 #                                                baselines)
 #
 # Usage: tools/ci.sh             # run everything
@@ -44,29 +45,23 @@ step() {
     printf '\n== ci: %s ==\n' "$1"
 }
 
-step "scalar build + full test suite"
+step "build + full test suite"
 cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$repo/build" -j"$(nproc)"
 ctest --test-dir "$repo/build" --output-on-failure -j"$(nproc)"
 
-step "AVX2 build + full test suite"
-cmake -S "$repo" -B "$repo/build-avx2" -DCMAKE_BUILD_TYPE=Release \
-      -DDPC_AVX2=ON
-cmake --build "$repo/build-avx2" -j"$(nproc)"
-ctest --test-dir "$repo/build-avx2" --output-on-failure -j"$(nproc)"
-
-step "AVX2 bench smoke (bitwise bars, no perf gate)"
+step "bench smoke (bitwise bars, no perf gate)"
 bench_smoke_dir=$(mktemp -d)
 (cd "$bench_smoke_dir" &&
-     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/gossip_async" &&
+     DPC_BENCH_SMOKE=1 "$repo/build/bench/gossip_async" &&
      DPC_BENCH_SMOKE=1 \
-         "$repo/build-avx2/bench/table4_2_packet_level")
+         "$repo/build/bench/table4_2_packet_level")
 rm -rf "$bench_smoke_dir"
 
 step "loopback-vs-socket, overlap + steady-state smoke (2 shards)"
 wire_smoke_dir=$(mktemp -d)
 (cd "$wire_smoke_dir" &&
-     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/wire_shard")
+     DPC_BENCH_SMOKE=1 "$repo/build/bench/wire_shard")
 rm -rf "$wire_smoke_dir"
 
 step "shard-death recovery smoke (SIGKILL mid-run, UDP + TCP)"
@@ -77,16 +72,8 @@ step "shard-death recovery smoke (SIGKILL mid-run, UDP + TCP)"
 # reference with the safety invariants audited every round.
 recovery_smoke_dir=$(mktemp -d)
 (cd "$recovery_smoke_dir" &&
-     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/wire_recovery")
+     DPC_BENCH_SMOKE=1 "$repo/build/bench/wire_recovery")
 rm -rf "$recovery_smoke_dir"
-
-step "AVX-512 compile smoke + parity suite"
-cmake -S "$repo" -B "$repo/build-avx512" \
-      -DCMAKE_BUILD_TYPE=Release -DDPC_AVX512=ON
-cmake --build "$repo/build-avx512" -j"$(nproc)" \
-      --target dpc_alloc test_round_kernel_avx512
-ctest --test-dir "$repo/build-avx512" --output-on-failure \
-      -R 'RoundKernelAvx512'
 
 step "AddressSanitizer suite"
 "$repo/tools/run_ctest_asan.sh"
@@ -99,11 +86,9 @@ step "ThreadSanitizer round-engine suite"
 
 if [ "${DPC_CI_SKIP_BENCH:-0}" != "1" ]; then
     step "bench suite + baseline gate"
-    # The AVX2 build is the perf-tracking configuration (its
-    # kernels are pinned bitwise-identical to the portable build,
-    # so only speed differs); the committed baselines are recorded
-    # from it.
-    BUILD_DIR="$repo/build-avx2" "$repo/tools/run_bench_suite.sh"
+    # The default build runs the widest round-kernel twin the host
+    # supports, so it is the perf-tracking configuration.
+    BUILD_DIR="$repo/build" "$repo/tools/run_bench_suite.sh"
 fi
 
 step "all green"

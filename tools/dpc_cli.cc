@@ -172,7 +172,10 @@ cmdAllocate(const Args &args)
 
     const auto rep = evaluateAllocation(prob.utilities, res.power);
     const auto opt = solveKkt(prob);
-    std::cout << "\nscheme=" << scheme << "  iterations="
+    std::cout << "\nscheme=" << scheme;
+    if (scheme == "diba")
+        std::cout << "  round_kernel=" << roundKernelName();
+    std::cout << "  iterations="
               << res.iterations << "  converged="
               << (res.converged ? "yes" : "no") << "\ntotal "
               << Table::num(res.totalPower() / 1000.0, 2)
