@@ -13,8 +13,8 @@
  *              per hardware thread.
  *
  * plus steady-state rounds (dense vs. active-set frontier), the
- * batched replica engine, and the primal-dual best-response sweep
- * reusing the same pool.
+ * emergency shed inside a budget drop, the batched replica engine,
+ * and the primal-dual best-response sweep reusing the same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
  * the same computation.  Problems come from the shared cache so
@@ -139,6 +139,43 @@ BM_RoundActiveSteady(benchmark::State &state)
     steadyBench(state, 0.25 * probe.tolerance);
 }
 
+/** Step to convergence (the control loop's settled state). */
+void
+settle(DibaAllocator &diba)
+{
+    Rng rng(1);
+    for (std::size_t r = 0; r < diba.maxIterations() && !diba.converged();
+         ++r)
+        diba.step(rng);
+}
+
+/**
+ * Emergency-shed cost: a -15% setBudget() drop on a settled chordal
+ * ring (the demand-response shed), timed alone.  Restoring the
+ * nominal budget and re-settling happen outside the timer, so every
+ * iteration sheds from the same settled state.
+ */
+void
+BM_SetBudgetShed(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
+                                               kSeed);
+    Rng topo_rng(kSeed);
+    DibaAllocator diba(makeChordalRing(n, n / 4, topo_rng));
+    diba.reset(prob);
+    settle(diba);
+    for (auto _ : state) {
+        diba.setBudget(0.85 * prob.budget);
+        benchmark::ClobberMemory();
+        state.PauseTiming();
+        diba.setBudget(prob.budget);
+        settle(diba);
+        state.ResumeTiming();
+    }
+    state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
+}
+
 /**
  * Batched replicas vs. one-at-a-time: R lockstep lanes through
  * ReplicaBatch, timed per round; node_ns is normalized per LANE
@@ -203,6 +240,10 @@ BENCHMARK(BM_RoundSoaParallel)
     ->Complexity();
 BENCHMARK(BM_RoundDenseSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RoundActiveSteady)->Arg(1600)->Arg(6400)->Arg(25600);
+BENCHMARK(BM_SetBudgetShed)
+    ->Arg(1000)
+    ->Arg(6400)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplicaBatchRound)
     ->Args({1600, 1})
     ->Args({1600, 8})

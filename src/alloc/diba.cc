@@ -7,6 +7,10 @@
 #include <limits>
 #include <numeric>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "metrics/performance.hh"
 #include "util/logging.hh"
 #include "util/numa.hh"
@@ -39,6 +43,101 @@ edgeKey(std::size_t u, std::size_t v)
 {
     return (static_cast<std::uint64_t>(u) << 32) |
            static_cast<std::uint64_t>(v);
+}
+
+/** Node-block width of the dense sweeps: a block's streams stay
+ * L1-resident between its diffusion gather and its local steps. */
+constexpr std::size_t kDenseBlock = 512;
+
+/**
+ * Dense Metropolis gather over nodes [b0, b1) with every node active
+ * and every link live, so no participation checks: e[i] becomes
+ * snap[i] plus the weighted gaps to its neighbours' snapshots.  With
+ * a positive deadband, a transfer inside the relative gap gate is
+ * suppressed.  The IEEE operation sequence is diffuseRange's on an
+ * unmasked overlay, so either gather yields the same bits.
+ */
+inline void
+gatherDense(const GraphCsr &g, const double *DPC_RESTRICT w,
+            const double *DPC_RESTRICT snap, double *DPC_RESTRICT e,
+            double deadband, std::size_t b0, std::size_t b1)
+{
+    const std::uint32_t *DPC_RESTRICT offs = g.offsets.data();
+    const std::uint32_t *DPC_RESTRICT nbr = g.neighbors.data();
+    if (deadband > 0.0) {
+        for (std::size_t i = b0; i < b1; ++i) {
+            const double ei = snap[i];
+            double acc = 0.0;
+            const std::uint32_t khi = offs[i + 1];
+            for (std::uint32_t k = offs[i]; k < khi; ++k) {
+                const double ej = snap[nbr[k]];
+                const double gap = ej - ei;
+                const double gate =
+                    deadband * std::max(std::fabs(ei), std::fabs(ej));
+                if (std::fabs(gap) <= gate)
+                    continue;
+                acc += w[k] * gap;
+            }
+            e[i] = ei + acc;
+        }
+    } else {
+        for (std::size_t i = b0; i < b1; ++i) {
+            const double ei = snap[i];
+            double acc = 0.0;
+            const std::uint32_t khi = offs[i + 1];
+            for (std::uint32_t k = offs[i]; k < khi; ++k)
+                acc += w[k] * (snap[nbr[k]] - ei);
+            e[i] = ei + acc;
+        }
+    }
+}
+
+// The shed's two per-node selects, max(0, .) of the shed amount and
+// of the excess, are spelled with SSE2 min/max where available: GCC
+// otherwise branches on the sign, and mid-shed about 40% of the
+// nodes are over the line in no predictable pattern, so the branch
+// mispredicts.  The operands are ordered so each instruction is
+// exactly the std::min/std::max it replaces (minpd(a, b) is
+// a < b ? a : b, maxpd(a, b) is a > b ? a : b).
+
+/**
+ * emergencyShedStep over m contiguous nodes, floors from lo[].  A
+ * node with e <= -kShedFloor gets shed = +0.0, which leaves p and e
+ * bit for bit unchanged, so no node needs a participation branch.
+ */
+inline void
+shedBlock(std::size_t m, double *DPC_RESTRICT p, double *DPC_RESTRICT e,
+          const double *DPC_RESTRICT lo)
+{
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    const __m128d line = _mm_set1_pd(kShedFloor);
+    const __m128d zero = _mm_setzero_pd();
+    for (; i + 2 <= m; i += 2) {
+        const __m128d pv = _mm_loadu_pd(p + i);
+        const __m128d ev = _mm_loadu_pd(e + i);
+        const __m128d want = _mm_add_pd(ev, line);
+        const __m128d can = _mm_sub_pd(pv, _mm_loadu_pd(lo + i));
+        const __m128d shed =
+            _mm_max_pd(_mm_min_pd(can, want), zero);
+        _mm_storeu_pd(p + i, _mm_sub_pd(pv, shed));
+        _mm_storeu_pd(e + i, _mm_sub_pd(ev, shed));
+    }
+#endif
+    for (; i < m; ++i)
+        emergencyShedStep(p[i], e[i], lo[i]);
+}
+
+/** A node's share of the shed's excess: max(0, e + kShedFloor). */
+inline double
+shedExcess(double e)
+{
+    const double x = e + kShedFloor;
+#if defined(__SSE2__)
+    return _mm_cvtsd_f64(_mm_max_sd(_mm_set_sd(x), _mm_setzero_pd()));
+#else
+    return std::max(0.0, x);
+#endif
 }
 
 } // namespace
@@ -295,6 +394,7 @@ DibaAllocator::chunkLocality(std::size_t chunks)
 void
 DibaAllocator::rebuildQuadFastPath()
 {
+    non_quad_ = 0;
     quad_fast_ = false;
     if (!cfg_.enable_quad_fastpath)
         return;
@@ -303,17 +403,24 @@ DibaAllocator::rebuildQuadFastPath()
     qc_.resize(n);
     qmin_.resize(n);
     qmax_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = dynamic_cast<const QuadraticUtility *>(
-            u_[i].get());
-        if (q == nullptr)
-            return;
-        qb_[i] = q->coeffB();
-        qc_[i] = q->coeffC();
-        qmin_[i] = q->minPower();
-        qmax_[i] = q->maxPower();
-    }
-    quad_fast_ = true;
+    for (std::size_t i = 0; i < n; ++i)
+        if (!mirrorQuad(i))
+            ++non_quad_;
+    quad_fast_ = non_quad_ == 0;
+}
+
+bool
+DibaAllocator::mirrorQuad(std::size_t i)
+{
+    const auto *q =
+        dynamic_cast<const QuadraticUtility *>(u_[i].get());
+    if (q == nullptr)
+        return false;
+    qb_[i] = q->coeffB();
+    qc_[i] = q->coeffC();
+    qmin_[i] = q->minPower();
+    qmax_[i] = q->maxPower();
+    return true;
 }
 
 double
@@ -602,35 +709,6 @@ DibaAllocator::localStepQuad(std::size_t i)
 }
 
 void
-DibaAllocator::diffuse()
-{
-    // Each node sends its estimate to its neighbours and folds the
-    // received values in with Metropolis weights
-    // w_ij = 1 / (1 + max(deg_i, deg_j)), which preserves sum(e)
-    // exactly (the pairwise transfers cancel) and keeps every e_i
-    // a convex combination of the old values.
-    //
-    // With a positive deadband (gated-gossip option), transfers
-    // inside the relative gap gate are suppressed; the default of
-    // zero exchanges on every edge.
-    //
-    // Swapping the buffers instead of copying makes the snapshot
-    // free; diffuseRange rewrites every e_[i] from the snapshot,
-    // reading only e_snapshot_ and writing only its own slots, so
-    // chunked execution is race-free and bitwise deterministic.
-    const std::size_t n = e_.size();
-    snapshotSwap();
-    if (!pool_) {
-        diffuseRange(0, n);
-        return;
-    }
-    pool_->parallelFor(
-        n, [this](std::size_t, std::size_t b, std::size_t e) {
-            diffuseRange(b, e);
-        });
-}
-
-void
 DibaAllocator::snapshotSwap()
 {
     e_snapshot_.swap(e_);
@@ -643,21 +721,17 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     // Fused diffuse + step + anneal with no participation checks:
     // the all-active, all-quadratic configuration every large-scale
     // experiment runs in.  Runs block-wise in two passes: pass 1
-    // gathers the CSR diffusion into e_ (irregular, stays scalar),
-    // pass 2 hands the block's seven contiguous streams to
-    // stepBlockQuad, which runs the widest SIMD twin the CPU
-    // supports (cpuid-dispatched, bitwise equal to the scalar
+    // gathers the CSR diffusion into e_ (gatherDense: irregular,
+    // stays scalar), pass 2 hands the block's seven contiguous
+    // streams to stepBlockQuad, which runs the widest SIMD twin the
+    // CPU supports (cpuid-dispatched, bitwise equal to the scalar
     // body).  Per-node arithmetic is unchanged -- e_now round-trips
     // through e_[i] instead of a register, which is exact -- so the
-    // restructuring is bitwise invisible.  Blocks are L1-resident so pass 2 rereads warm
-    // lines; raw restrict pointers keep the indexed loads out of
-    // the vector wrappers and promise the compiler the streams
-    // never alias.
+    // restructuring is bitwise invisible.  Blocks are L1-resident so
+    // pass 2 rereads warm lines; raw restrict pointers keep the
+    // indexed loads out of the vector wrappers and promise the
+    // compiler the streams never alias.
     const GraphCsr &g = topo_.csr();
-    const std::uint32_t *DPC_RESTRICT offs = g.offsets.data();
-    const std::uint32_t *DPC_RESTRICT nbr = g.neighbors.data();
-    const double *DPC_RESTRICT w = w_.data();
-    const double *DPC_RESTRICT snap = e_snapshot_.data();
     double *DPC_RESTRICT p = p_.data();
     double *DPC_RESTRICT e = e_.data();
     double *DPC_RESTRICT eta = eta_now_.data();
@@ -665,38 +739,11 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     const double *DPC_RESTRICT qc = qc_.data();
     const double *DPC_RESTRICT qlo = qmin_.data();
     const double *DPC_RESTRICT qhi = qmax_.data();
-    const bool gated = cfg_.deadband > 0.0;
-    constexpr std::size_t kBlock = 512;
     double max_dp = 0.0;
-    for (std::size_t b0 = begin; b0 < end; b0 += kBlock) {
-        const std::size_t b1 = std::min(end, b0 + kBlock);
-        if (gated) {
-            for (std::size_t i = b0; i < b1; ++i) {
-                const double ei = snap[i];
-                double acc = 0.0;
-                const std::uint32_t khi = offs[i + 1];
-                for (std::uint32_t k = offs[i]; k < khi; ++k) {
-                    const double ej = snap[nbr[k]];
-                    const double gap = ej - ei;
-                    const double gate =
-                        cfg_.deadband *
-                        std::max(std::fabs(ei), std::fabs(ej));
-                    if (std::fabs(gap) <= gate)
-                        continue;
-                    acc += w[k] * gap;
-                }
-                e[i] = ei + acc;
-            }
-        } else {
-            for (std::size_t i = b0; i < b1; ++i) {
-                const double ei = snap[i];
-                double acc = 0.0;
-                const std::uint32_t khi = offs[i + 1];
-                for (std::uint32_t k = offs[i]; k < khi; ++k)
-                    acc += w[k] * (snap[nbr[k]] - ei);
-                e[i] = ei + acc;
-            }
-        }
+    for (std::size_t b0 = begin; b0 < end; b0 += kDenseBlock) {
+        const std::size_t b1 = std::min(end, b0 + kDenseBlock);
+        gatherDense(g, w_.data(), e_snapshot_.data(), e, cfg_.deadband,
+                    b0, b1);
         max_dp = std::max(
             max_dp,
             stepBlockQuad(b1 - b0, p + b0, e + b0, eta + b0,
@@ -846,56 +893,72 @@ DibaAllocator::emergencyShed()
     // its own cap as far as its box permits.  Nodes already at
     // their power floor cannot shed, so a few neighbour-exchange
     // rounds move their surplus to nodes that still can -- still
-    // fully decentralized, and all inside one control step.
-    // One pass of local shedding; returns the remaining excess
-    // sum_active max(0, e_i + kShedFloor).  After a pass, every
-    // node still over the line is pinned at its power floor (it
-    // shed all it could), so leftover debt sits only on nodes that
-    // cannot act on it and must travel by diffusion.
-    // The shed sweep and its `over` sum run in ORIGINAL id order:
-    // each step is node-local, so only the accumulation order
-    // matters, and pinning it keeps the pass layout-invariant.
-    auto shedPass = [&] {
-        double over = 0.0;
-        for (std::size_t i = 0; i < p_.size(); ++i) {
-            const std::size_t iw = wi(i);
-            if (!active_[iw])
-                continue;
-            if (e_[iw] > -kShedFloor) {
-                emergencyShedStep(p_[iw], e_[iw],
-                                  u_[iw]->minPower());
-                over += std::max(0.0, e_[iw] + kShedFloor);
-            }
-        }
-        return over;
-    };
-    // Debt can sit many hops inside a floor-clamped region and
-    // diffusion moves it one hop per exchange, so keep exchanging
-    // while the excess still shrinks.  Averaging never increases
-    // the positive part and shedding strictly removes whatever
-    // reaches a node with headroom, so the excess is monotone
-    // non-increasing; when it stalls for several rounds the rest
-    // is pinned debt no exchange can move (an over-floored
-    // partition), and we stop -- always on a shed pass, never on a
-    // diffuse, so every node with headroom leaves here holding
-    // e_i <= -kShedFloor.
-    const int stall_limit = 8;
-    const int hard_cap = 64 + 8 * static_cast<int>(std::min<
-                                  std::size_t>(
-                                  topo_.numVertices(), 4096));
-    double prev_over = std::numeric_limits<double>::infinity();
-    int stalled = 0;
-    for (int round = 0; round < hard_cap; ++round) {
-        const double over = shedPass();
-        if (over == 0.0)
-            return;
-        stalled = over > 0.999 * prev_over ? stalled + 1 : 0;
-        if (stalled >= stall_limit)
-            return;
-        prev_over = over;
-        diffuse();
+    // fully decentralized, and all inside one control step.  The
+    // stop rule lives in runEmergencyShed (round_kernel.hh).
+    runEmergencyShed(topo_.numVertices(),
+                     [this](bool diffuse) { return shedPass(diffuse); });
+}
+
+double
+DibaAllocator::shedPass(bool diffuse)
+{
+    // One sweep: each node gathers its diffusion from the snapshot
+    // (when `diffuse`) and sheds in the same block, so the estimates
+    // are read and written once per pass.  Both steps read only the
+    // snapshot and write only node-local state, so the chunked run
+    // is race-free and bitwise equal to the serial one.
+    const std::size_t n = p_.size();
+    if (diffuse)
+        snapshotSwap();
+    if (!pool_) {
+        shedRange(0, n, diffuse);
+    } else {
+        pool_->parallelFor(
+            n, [this, diffuse](std::size_t, std::size_t b,
+                               std::size_t e) {
+                shedRange(b, e, diffuse);
+            });
     }
-    shedPass();
+    // The excess is summed serially in ORIGINAL id order, so it --
+    // and with it the stop decision -- is layout- and
+    // thread-count-invariant.  A node under the line adds +0.0.
+    double over = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t iw = wi(i);
+        if (active_[iw])
+            over += shedExcess(e_[iw]);
+    }
+    return over;
+}
+
+void
+DibaAllocator::shedRange(std::size_t begin, std::size_t end,
+                         bool diffuse)
+{
+    // The gather roundRange would pick: the branch-free dense one
+    // when every node and link is live, the masked body otherwise.
+    const bool dense = num_active_ == p_.size() && disabled_edges_ == 0;
+    const GraphCsr &g = topo_.csr();
+    for (std::size_t b0 = begin; b0 < end; b0 += kDenseBlock) {
+        const std::size_t b1 = std::min(end, b0 + kDenseBlock);
+        if (diffuse && dense)
+            gatherDense(g, w_.data(), e_snapshot_.data(), e_.data(),
+                        cfg_.deadband, b0, b1);
+        else if (diffuse)
+            diffuseRange(b0, b1);
+        if (dense && quad_fast_) {
+            shedBlock(b1 - b0, p_.data() + b0, e_.data() + b0,
+                      qmin_.data() + b0);
+            continue;
+        }
+        for (std::size_t i = b0; i < b1; ++i) {
+            if (!active_[i] || e_[i] <= -kShedFloor)
+                continue;
+            const double floor =
+                quad_fast_ ? qmin_[i] : u_[i]->minPower();
+            emergencyShedStep(p_[i], e_[i], floor);
+        }
+    }
 }
 
 double
@@ -1136,6 +1199,8 @@ DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
     const double clamped = u->clampPower(p_[iw]);
     e_[iw] += clamped - p_[iw];
     p_[iw] = clamped;
+    const bool was_quad =
+        dynamic_cast<const QuadraticUtility *>(u_[iw].get()) != nullptr;
     u_[iw] = std::move(u);
     problem_.utilities[i] = u_[iw];
     if (layout_active_)
@@ -1146,9 +1211,15 @@ DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
     // response actually propagates (Fig. 4.8 locality).
     frontier_.reheat(iw);
     quiet_ = 0;
-    // Utility swaps are rare control events (Fig. 4.8); an O(n)
-    // re-extraction keeps the SoA mirror trivially consistent.
-    rebuildQuadFastPath();
+    // Patch only this node's SoA mirror entry and keep the count of
+    // non-quadratic nodes, so the fast path switches off and back on
+    // exactly as a full re-extraction would, in O(1).
+    if (cfg_.enable_quad_fastpath) {
+        const bool is_quad = mirrorQuad(iw);
+        if (was_quad != is_quad)
+            non_quad_ = is_quad ? non_quad_ - 1 : non_quad_ + 1;
+        quad_fast_ = non_quad_ == 0;
+    }
     sweep_cache_ready_ = false;
 }
 

@@ -810,9 +810,6 @@ class DibaAllocator : public IterativeAllocator
     void doReset() override;
 
   private:
-    /** One Metropolis consensus exchange of the estimates. */
-    void diffuse();
-
     /** Update iterations_/quiet_ after one counted round. */
     void noteRound(double moved);
 
@@ -882,7 +879,9 @@ class DibaAllocator : public IterativeAllocator
     /** Rotate e_ into e_snapshot_ before a diffusion pass. */
     void snapshotSwap();
 
-    /** diffuse() body over the node range [begin, end). */
+    /** One Metropolis exchange of the estimates over the node range
+     * [begin, end), from e_snapshot_ into e_, skipping failed nodes
+     * and cut links. */
     void diffuseRange(std::size_t begin, std::size_t end);
 
     /** Gradient steps + annealing over [begin, end); returns the
@@ -960,11 +959,25 @@ class DibaAllocator : public IterativeAllocator
      * disable the fast path if any utility is not quadratic). */
     void rebuildQuadFastPath();
 
+    /** Refresh node i's SoA mirror entry from u_[i]; returns false,
+     * leaving the entry alone, when u_[i] is not quadratic. */
+    bool mirrorQuad(std::size_t i);
+
     /** Post-step annealing/reheating decision for one node. */
     void annealNode(std::size_t i, double moved);
 
     /** Immediately shed power at nodes whose slack is exhausted. */
     void emergencyShed();
+
+    /** One emergencyShed pass, diffusing first when `diffuse`;
+     * returns the remaining excess sum_active max(0, e_i +
+     * kShedFloor), summed in original id order. */
+    double shedPass(bool diffuse);
+
+    /** shedPass body over [begin, end): the gather roundRange would
+     * pick (when `diffuse`), then emergencyShedStep on every active
+     * node over the line, block by block. */
+    void shedRange(std::size_t begin, std::size_t end, bool diffuse);
 
     /**
      * Move `delta` watts of cap directly onto the nodes,
@@ -1141,12 +1154,16 @@ class DibaAllocator : public IterativeAllocator
     /**
      * Metropolis weight per directed CSR slot, aligned with
      * topology().csr().neighbors: w_[k] = 1 / (1 + max(deg_i,
-     * deg_j)).  Precomputed once (degrees are static) so diffuse()
-     * does no divisions on the hot path.
+     * deg_j)).  Precomputed once (degrees are static) so the
+     * diffusion gathers do no divisions on the hot path.
      */
     std::vector<double> w_;
-    /** Quadratic SoA mirror of u_ (valid iff quad_fast_). */
+    /** Quadratic SoA mirror of u_: entry i is current whenever u_[i]
+     * is quadratic and the fast path is enabled. */
     std::vector<double> qb_, qc_, qmin_, qmax_;
+    /** Nodes whose utility is not quadratic; the fast path runs iff
+     * it is enabled and this is 0. */
+    std::size_t non_quad_ = 0;
     bool quad_fast_ = false;
     /** Per-chunk max |dp| partials for the parallel reduction. */
     std::vector<double> chunk_max_;

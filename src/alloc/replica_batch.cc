@@ -378,11 +378,12 @@ ReplicaBatch::diffuseLane(std::size_t r)
 void
 ReplicaBatch::shedLane(std::size_t r)
 {
-    // DibaAllocator::emergencyShed restricted to one lane: shed
-    // locally, diffuse the lane, repeat while the excess shrinks;
-    // always end on a shed pass so every node with headroom leaves
-    // holding e <= -kShedFloor.
-    auto shedPass = [&] {
+    // DibaAllocator::emergencyShed restricted to one lane, under the
+    // same stop rule: shed locally, diffuse the lane, repeat while
+    // the excess shrinks.
+    runEmergencyShed(n_, [&](bool diffuse) {
+        if (diffuse)
+            diffuseLane(r);
         double over = 0.0;
         for (std::size_t i = 0; i < n_; ++i) {
             const std::size_t s = at(i, r);
@@ -392,24 +393,7 @@ ReplicaBatch::shedLane(std::size_t r)
             }
         }
         return over;
-    };
-    const int stall_limit = 8;
-    const int hard_cap =
-        64 + 8 * static_cast<int>(
-                     std::min<std::size_t>(n_, 4096));
-    double prev_over = std::numeric_limits<double>::infinity();
-    int stalled = 0;
-    for (int round = 0; round < hard_cap; ++round) {
-        const double over = shedPass();
-        if (over == 0.0)
-            return;
-        stalled = over > 0.999 * prev_over ? stalled + 1 : 0;
-        if (stalled >= stall_limit)
-            return;
-        prev_over = over;
-        diffuseLane(r);
-    }
-    shedPass();
+    });
 }
 
 std::vector<double>

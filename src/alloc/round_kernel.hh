@@ -2,7 +2,8 @@
  * @file
  * The shared DiBA round kernel: the barrier-gradient /
  * emergency-shed local step for quadratic utilities, in scalar and
- * block (SIMD-friendly) form, plus the barrier-annealing update.
+ * block (SIMD-friendly) form, plus the barrier-annealing update and
+ * the emergency shed's stop rule.
  *
  * Every engine that advances DiBA state goes through these
  * primitives — the serial reference path, the fused dense kernel,
@@ -40,6 +41,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #if defined(_MSC_VER)
 #define DPC_RESTRICT __restrict
@@ -96,6 +98,47 @@ emergencyShedStep(double &p, double &e, double p_min)
     p -= shed;
     e -= shed;
     return -shed;
+}
+
+/**
+ * The emergency shed's stop rule, shared by every engine that sheds
+ * (DibaAllocator::emergencyShed, ReplicaBatch::shedLane).
+ *
+ * `pass(diffuse)` runs one pass over the live nodes and returns the
+ * remaining excess sum max(0, e_i + kShedFloor).  The pass applies
+ * emergencyShedStep to every node over the line; with `diffuse` it
+ * first runs one Metropolis exchange.  After a pass, every node
+ * still over the line sits at its power floor, so leftover debt
+ * must travel by diffusion, one hop per exchange.
+ *
+ * Averaging never increases the positive part and shedding strictly
+ * removes whatever reaches a node with headroom, so the excess is
+ * monotone non-increasing.  Passes continue while it shrinks.  Once
+ * it stalls (within 0.1%) for kStallLimit passes, the rest is pinned
+ * debt no exchange can move (an over-floored partition), and the
+ * shed stops.  `num_nodes` sizes a hard cap on the pass count.  The
+ * loop always ends on a shed, never on a bare diffusion, so every
+ * node with headroom leaves holding e_i <= -kShedFloor.
+ */
+template <class Pass>
+void
+runEmergencyShed(std::size_t num_nodes, Pass &&pass)
+{
+    constexpr int kStallLimit = 8;
+    const int hard_cap =
+        64 + 8 * static_cast<int>(std::min<std::size_t>(num_nodes, 4096));
+    double over = pass(false);
+    double prev_over = std::numeric_limits<double>::infinity();
+    int stalled = 0;
+    for (int round = 0; round < hard_cap; ++round) {
+        if (over == 0.0)
+            return;
+        stalled = over > 0.999 * prev_over ? stalled + 1 : 0;
+        if (stalled >= kStallLimit)
+            return;
+        prev_over = over;
+        over = pass(true);
+    }
 }
 
 /**

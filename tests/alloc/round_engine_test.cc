@@ -17,7 +17,9 @@
 #include "graph/topologies.hh"
 #include "model/utility.hh"
 #include "tests/alloc/test_problems.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
+#include "workload/benchmarks.hh"
 
 namespace dpc {
 namespace {
@@ -167,6 +169,80 @@ TEST(RoundEngineTest, SetUtilityRefreshesFastPathState)
                         QuadraticUtility::fromShape(0.5, 0.5,
                                                     100.0, 200.0)));
     EXPECT_TRUE(diba.quadFastPathActive());
+}
+
+TEST(RoundEngineTest, SetUtilityChurnMatchesFreshReset)
+{
+    // A seeded churn sequence swaps quadratic utilities between
+    // rounds and moves two piecewise (non-quadratic) ones in, across
+    // and back out.  setUtility patches the quadratic SoA mirror one
+    // node at a time; what it leaves must be exactly what a fresh
+    // reset() extracts from the final utilities.  Both allocators
+    // then adopt the same external snapshot (same caps, estimates
+    // and barrier weights) and must run 500 rounds bit for bit.
+    const std::size_t n = 64;
+    const auto prob = test::npbProblem(n, 172.0, 23);
+    Rng topo_rng(5);
+    const Graph g = makeChordalRing(n, n / 4, topo_rng);
+    const auto piecewise = [](double knee) {
+        return std::make_shared<PiecewiseLinearUtility>(
+            std::vector<double>{100.0, knee, 200.0},
+            std::vector<double>{0.2, 0.7, 0.9});
+    };
+    const auto &suite = npbHpccBenchmarks();
+    DibaAllocator churned(g, engineConfig(0));
+    churned.reset(prob);
+    Rng rng(97);
+    for (int step = 0; step < 40; ++step) {
+        churned.iterate();
+        // Nodes 0 and 1 carry the piecewise swaps; the seeded churn
+        // draws from the rest.
+        churned.setUtility(2 + rng.index(n - 2),
+                           rng.choice(suite).utilityPtr());
+        switch (step) {
+        case 5:
+            churned.setUtility(0, piecewise(150.0));
+            break;
+        case 12:
+            churned.setUtility(1, piecewise(140.0));
+            break;
+        case 20: // non-quadratic replaced by non-quadratic
+            churned.setUtility(0, piecewise(160.0));
+            break;
+        case 25:
+            churned.setUtility(0, rng.choice(suite).utilityPtr());
+            break;
+        case 31:
+            churned.setUtility(1, rng.choice(suite).utilityPtr());
+            break;
+        default:
+            break;
+        }
+        EXPECT_EQ(churned.quadFastPathActive(), step < 5 || step >= 31)
+            << "after churn step " << step;
+    }
+
+    AllocationProblem last = prob;
+    last.utilities = churned.utilities();
+    DibaAllocator fresh(g, engineConfig(0));
+    fresh.reset(last);
+    ASSERT_TRUE(fresh.quadFastPathActive());
+
+    AllocationResult snapshot;
+    for (std::size_t i = 0; i < n; ++i)
+        snapshot.power.push_back(140.0 + static_cast<double>(i % 7));
+    ASSERT_NE(snapshot.power, churned.power());
+    ASSERT_NE(snapshot.power, fresh.power());
+    churned.warmStart(snapshot, 0.0);
+    fresh.warmStart(snapshot, 0.0);
+    for (int r = 0; r < 500; ++r)
+        ASSERT_EQ(churned.iterate(), fresh.iterate()) << "round " << r;
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(churned.power()[i], fresh.power()[i])
+            << "power at node " << i;
+        EXPECT_EQ(churned.estimates()[i], fresh.estimates()[i])
+            << "estimate at node " << i;
+    }
 }
 
 TEST(RoundEngineTest, GossipNeverSamplesEdgesOfFailedNodes)

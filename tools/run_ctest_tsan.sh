@@ -5,7 +5,9 @@
 # chunked DiBA engine with several thread counts, the batched
 # gossip sweeps (vertex-disjoint matchings chunked across the
 # pool), the layout-invariance suite (threaded rounds under a
-# permuted overlay), and the lane-chunked packet batch engine.  A
+# permuted overlay), the emergency shed's fused diffuse + shed
+# sweep (chunked across the pool when num_threads > 0), and the
+# lane-chunked packet batch engine.  A
 # clean pass here is the evidence behind DESIGN.md's "every phase
 # is snapshot-read / local-write" argument.
 #
@@ -23,4 +25,4 @@ cmake --build "$build" --target test_util test_alloc test_net \
 
 TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1"} \
     ctest --test-dir "$build" --output-on-failure -j2 \
-          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest|PacketLevelBatchTest'
+          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest|EmergencyShed|PacketLevelBatchTest'
