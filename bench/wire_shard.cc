@@ -27,7 +27,8 @@
  * timing; gated at the perf threshold), cut_edges / cut_frac (plan
  * quality under the layout permutation), retransmits / duplicates
  * (loopback UDP under zero loss should never need either),
- * edges_suppressed (bitmap-shipped quiesced halves) and the
+ * edges_suppressed (held quiesced halves: unchanged since the
+ * last transmission, so nothing shipped) and the
  * per-phase round breakdown (send / interior compute / drain /
  * boundary compute, ms per round summed over shards).  Sharded
  * rows run with compute/communication overlap on; smoke adds an

@@ -1402,15 +1402,16 @@ DibaAllocator::roundViaTransport(net::Transport &t,
         // The transport sees the edge's ORIGINAL canonical
         // endpoints so endpoint-addressed fault plans and wire
         // frames hit the same physical link under every layout.
-        const auto &[u, v] = all_edges_[id];
+        // The halves follow those endpoints: a layout may reverse
+        // the working pair's orientation.
         const auto &ov = edgeView(id);
         net::EdgePair pair;
         pair.edge_id = id;
         pair.u = static_cast<std::uint32_t>(ov.first);
         pair.v = static_cast<std::uint32_t>(ov.second);
         pair.round = round;
-        pair.e_u = pre[u];
-        pair.e_v = pre[v];
+        pair.e_u = pre[wi(ov.first)];
+        pair.e_v = pre[wi(ov.second)];
         t.send(pair);
     };
     bool uniform_fresh = false;
@@ -1685,8 +1686,10 @@ DibaAllocator::sparseRoundViaTransport(net::Transport &t,
     const std::vector<double> &pre = hist_.front();
     const std::uint8_t *DPC_RESTRICT hot = frontier_.mask().data();
     for (const std::uint32_t id : elision_offer_ids_) {
-        const auto &[u, v] = all_edges_[id];
+        // ORIGINAL endpoints, halves and hot bits alike (see
+        // roundViaTransport's offerPair).
         const auto &ov = edgeView(id);
+        const std::size_t u = wi(ov.first), v = wi(ov.second);
         net::EdgePair pair;
         pair.edge_id = id;
         pair.u = static_cast<std::uint32_t>(ov.first);

@@ -902,7 +902,7 @@ class DibaAllocator : public IterativeAllocator
      * (maxLag 0) transports that carry the wake channel
      * (Transport::wakesSupported).  Offers EVERY cut pair with this
      * shard's frontier hot bits riding along (quiesced pairs are
-     * suppressed to nothing on a v4 wire), drains the round, syncs
+     * suppressed to nothing on the wire), drains the round, syncs
      * the halo frontier bits from the transport's wake view, then
      * sweeps frontier ∪ N(frontier) restricted to the owned block
      * with the same fused kernel as iterateSparse() -- bitwise

@@ -325,14 +325,6 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     tc.retrans_ms = opt.retrans_ms;
     tc.pipeline_depth = opt.pipeline_depth;
     tc.datagram_budget = opt.datagram_budget;
-    // v4's delta suppression assumes every cut pair is offered
-    // every round (the chains advance in lockstep); the lossy
-    // decorator drops offered pairs by fate, so lossy runs stay on
-    // the dense v3 protocol.
-    tc.wire_version =
-        opt.lossy ? net::kWireMinVersion
-                  : std::min<std::uint16_t>(opt.wire_version,
-                                            net::kWireVersion);
     tc.hosts = opt.hosts;
     if (!opt.hosts.empty())
         tc.bind_host = opt.hosts[shard_id];
@@ -352,7 +344,6 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         Frame hello;
         hello.type = FrameType::Hello;
         hello.hello.shard_id = shard_id;
-        hello.hello.version = tc.wire_version;
         hello.hello.udp_port = sock.localPort();
         hello.hello.tcp_port = sock.localPort();
         sendFrame(ctl.bfd, hello);
@@ -365,10 +356,12 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                "expected Welcome from broker");
     DPC_ASSERT(welcome.welcome.num_shards == plan.num_shards,
                "broker shard count mismatch");
-    // Adopt the fleet minimum the broker agreed on (every shard
-    // advertises the same version here, so this is a no-op unless
-    // a heterogeneous deployment drives shardMain directly).
-    sock.setWireVersion(welcome.welcome.agreed_version);
+    // The broker refuses any Hello below kWireMinVersion, and this
+    // build speaks exactly one version.
+    DPC_ASSERT(welcome.welcome.agreed_version == net::kWireVersion,
+               "broker agreed on wire version ",
+               welcome.welcome.agreed_version, "; this shard speaks ",
+               net::kWireVersion);
     sock.connectPeers(
         opt.proto == net::SocketTransport::Proto::Udp
             ? welcome.welcome.udp_ports
@@ -804,6 +797,10 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
                    (opt.pipeline_depth == 0 && !opt.lossy),
                "recover requires pipeline_depth == 0 and !lossy "
                "(rollback reasons about one round in flight)");
+    DPC_ASSERT(!(opt.lossy && cfg.active_threshold > 0.0),
+               "lossy requires active_threshold == 0: the fault "
+               "decorator carries no wake channel, so the sparse "
+               "transport round cannot run under it");
     DPC_ASSERT(opt.num_shards <= 64,
                "dead_mask is 64 bits: at most 64 shards");
     DPC_ASSERT(opt.hosts.empty() ||
@@ -1216,6 +1213,15 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
                     pending[x].buf.data(), pending[x].buf.size(),
                     f, used);
                 if (st == DecodeStatus::Bad) {
+                    // A peer from another protocol generation
+                    // fails loudly instead of idling to the
+                    // deadline.
+                    if (f.version != net::kWireVersion)
+                        hs_err = "a shard sent a wire version " +
+                                 std::to_string(f.version) +
+                                 " frame; this broker speaks only "
+                                 "version " +
+                                 std::to_string(net::kWireVersion);
                     drop = true;
                 } else if (st == DecodeStatus::Ok) {
                     pending[x].buf.erase(

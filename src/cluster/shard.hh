@@ -149,15 +149,6 @@ struct ShardRunOptions
      * round drift (<= the transport's 4-round rx window). */
     std::size_t checkpoint_depth = 8;
     /**
-     * Advertised wire protocol version; the broker agrees on the
-     * fleet minimum and every shard adopts it before connecting.
-     * Lossy runs are forced down to v3: the fault decorator drops
-     * offered pairs by fate, which the v4 delta chains (every cut
-     * pair offered, every record XORed against the previous
-     * round's) do not model.
-     */
-    std::uint16_t wire_version = net::kWireVersion;
-    /**
      * Scheduled warm-started budget steps: before running round
      * `round`, every shard calls warmStart(result(), delta).  On a
      * quadratic cluster that re-seeds straight at the new barrier
@@ -205,13 +196,15 @@ struct ShardRunResult
     std::uint64_t bytes_received = 0;
     /** Batches dropped by (sender, round, seq) dedup. */
     std::uint64_t duplicates = 0;
-    /** Cut halves shipped as suppression-bitmap bits. */
+    /** Offered cut halves held: bitwise equal to the last
+     * transmission, so nothing shipped and the receiver reused
+     * its cached value. */
     std::uint64_t edges_suppressed = 0;
     /** Summed histogram: bucket b counts first-transmitted frames
      * carrying [2^b, 2^(b+1)) cut halves. */
     std::array<std::uint64_t, net::kEdgesPerFrameBuckets>
         edges_per_frame_hist{};
-    // ---- steady-state wire sparsity (v4; zero on v3 runs) ----
+    // ---- steady-state wire sparsity -------------------------
     /** Seq-0 frames declaring zero changed records: the whole
      * peer-round quiesced and shipped only the fixed header. */
     std::uint64_t suppressed_frames = 0;

@@ -168,10 +168,6 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
                "datagram_budget ", cfg_.datagram_budget,
                " below the minimum useful frame size ",
                kMinFrameSize);
-    DPC_ASSERT(cfg_.wire_version >= kWireMinVersion &&
-                   cfg_.wire_version <= kWireVersion,
-               "unsupported negotiated wire version ",
-               cfg_.wire_version);
     const int type =
         cfg_.proto == Proto::Udp ? SOCK_DGRAM : SOCK_STREAM;
     sock_ = boundSocket(type, cfg_.bind_host, local_port_);
@@ -205,27 +201,17 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
                     : (1ull << cfg_.num_shards) - 1;
 
     if (cfg_.proto == Proto::Udp) {
-        // The seq-0 fixed part (reports + full suppression bitmap
-        // in v3, reports + worst-case sparse hot bitmap in v4) is
-        // never split; it must fit one datagram.
-        std::size_t max_words = 0;
-        for (const std::size_t w : pair_words_)
-            max_words = std::max(max_words, w);
-        DPC_ASSERT(cutBatchFrameSize(kMaxDpReports, 0, max_words) <
+        // The seq-0 fixed part (reports + worst-case sparse hot
+        // bitmap) is never split; it must fit one datagram.
+        std::size_t max_hot_words = 0;
+        for (const auto &tn : tx_nodes_)
+            max_hot_words =
+                std::max(max_hot_words, (tn.size() + 63) / 64);
+        DPC_ASSERT(kCutBatchV4Fixed + kMaxDpReports * 24 + 20 +
+                           max_hot_words * 15 <
                        65000,
-                   "per-pair cut list too large for one seq-0 "
+                   "per-pair boundary list too large for one seq-0 "
                    "datagram");
-        if (cfg_.wire_version >= 4) {
-            std::size_t max_hot_words = 0;
-            for (const auto &tn : tx_nodes_)
-                max_hot_words =
-                    std::max(max_hot_words, (tn.size() + 63) / 64);
-            DPC_ASSERT(kCutBatchV4Fixed + kMaxDpReports * 24 + 20 +
-                               max_hot_words * 15 <
-                           65000,
-                       "per-pair boundary list too large for one "
-                       "seq-0 datagram");
-        }
     }
 }
 
@@ -239,22 +225,9 @@ SocketTransport::~SocketTransport()
 }
 
 void
-SocketTransport::setWireVersion(std::uint16_t v)
-{
-    DPC_ASSERT(v >= kWireMinVersion && v <= cfg_.wire_version,
-               "wire version ", v,
-               " outside [floor, configured] = [", kWireMinVersion,
-               ", ", cfg_.wire_version, "]");
-    DPC_ASSERT(rx_emitted_ == 0 && !started_,
-               "setWireVersion() after a round opened");
-    cfg_.wire_version = v;
-}
-
-void
 SocketTransport::buildCutLists()
 {
     pair_cut_.resize(cfg_.num_shards);
-    pair_words_.assign(cfg_.num_shards, 0);
     cut_of_edge_.assign(cfg_.edges.size(), kNoCut);
     offer_mask_.assign(cfg_.edges.size(), 0);
     const std::uint32_t me = cfg_.shard_id;
@@ -278,10 +251,8 @@ SocketTransport::buildCutLists()
             static_cast<std::uint32_t>(cut_.size()));
         cut_.push_back(ce);
     }
-    for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
-        pair_words_[s] = (pair_cut_[s].size() + 63) / 64;
 
-    // Boundary node lists for the v4 wake channel: both endpoints
+    // Boundary node lists for the wake channel: both endpoints
     // of a shard pair derive the same ascending-original-id lists
     // from the shared overlay, so bit positions agree with no
     // exchange.
@@ -395,8 +366,7 @@ SocketTransport::rxSlot(std::uint64_t round)
                " evicted while unresolved (drift bound violated)");
     s.round = round;
     s.val.assign(cut_.size(), 0);
-    s.st.assign(cut_.size(), 0);
-    s.filed = 0;
+    s.filed.assign(cut_.size(), 0);
     s.offered.clear();
     s.open = false;
     s.seq_seen.assign(cfg_.num_shards, {});
@@ -428,14 +398,7 @@ SocketTransport::beginRound(std::uint64_t round, std::size_t num_edges)
     for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
         TxAccum &a = tx_[s];
         a.changed.clear();
-        if (cfg_.wire_version >= 4) {
-            a.bitmap.clear();
-            a.hot.assign((tx_nodes_[s].size() + 63) / 64, 0);
-            a.hot_valid = true;
-        } else {
-            a.bitmap.assign(pair_words_[s], 0);
-        }
-        a.offered = 0;
+        a.hot.assign((tx_nodes_[s].size() + 63) / 64, 0);
         a.suppressed = 0;
         TxRound &tr = tx_ring_[std::size_t{s} * w_tx_ +
                                round % w_tx_];
@@ -495,30 +458,17 @@ SocketTransport::send(const EdgePair &pair)
     const std::uint64_t bits =
         bitsOf(ce.own_u ? pair.e_u : pair.e_v);
     TxAccum &a = tx_[ce.peer];
-    ++a.offered;
-    if (cfg_.wire_version >= 4) {
-        // The wake channel: fold the own endpoint's hot bit into
-        // the per-peer boundary bitmap (shipped on seq 0).
-        if (ce.own_u ? pair.hot_u : pair.hot_v)
-            a.hot[ce.own_pos >> 6] |= 1ull << (ce.own_pos & 63);
-        if (tx_has_[ci] != 0 && tx_last_[ci] == bits) {
-            // Quiesced: ship NOTHING; the receiver holds the last
-            // delivered value under the epoch-fenced contract.
-            ++a.suppressed;
-        } else {
-            a.changed.emplace_back(
-                ce.pair_pos,
-                bits ^ (tx_has_[ci] != 0 ? tx_last_[ci] : 0));
-            tx_last_[ci] = bits;
-            tx_has_[ci] = 1;
-        }
-        return;
-    }
+    // The wake channel: fold the own endpoint's hot bit into the
+    // per-peer boundary bitmap (shipped on seq 0).
+    if (ce.own_u ? pair.hot_u : pair.hot_v)
+        a.hot[ce.own_pos >> 6] |= 1ull << (ce.own_pos & 63);
     if (tx_has_[ci] != 0 && tx_last_[ci] == bits) {
-        a.bitmap[ce.pair_pos >> 6] |= 1ull << (ce.pair_pos & 63);
+        // Quiesced: ship NOTHING; the receiver holds the last
+        // delivered value under the epoch-fenced contract.
         ++a.suppressed;
     } else {
-        a.changed.emplace_back(ce.pair_pos, bits);
+        a.changed.emplace_back(
+            ce.pair_pos, bits ^ (tx_has_[ci] != 0 ? tx_last_[ci] : 0));
         tx_last_[ci] = bits;
         tx_has_[ci] = 1;
     }
@@ -530,7 +480,7 @@ SocketTransport::transmitBatch(std::uint32_t s,
                                std::size_t halves)
 {
     std::vector<std::uint8_t> buf;
-    encodeCutBatch(msg, buf, cfg_.wire_version);
+    encodeCutBatch(msg, buf);
     ++stats_.frames_sent;
     stats_.bytes_sent += buf.size();
     ++stats_.edges_per_frame_hist[histBucket(halves)];
@@ -622,58 +572,20 @@ SocketTransport::ensureFlushed()
         std::min<std::uint64_t>(kMaxDpReports, round_ + 1));
     const std::vector<DpReport> reports = selectDpReports(nrep);
 
-    for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
-        if (pair_cut_[s].empty() || !peer_alive_[s])
-            continue;
-        if (cfg_.wire_version >= 4) {
-            flushPeerV4(s, reports);
-            continue;
-        }
-        TxAccum &a = tx_[s];
-        stats_.edges_suppressed += a.suppressed;
-        std::size_t ci = 0;
-        std::uint32_t seq = 0;
-        do {
-            CutBatchMsg m;
-            m.sender = cfg_.shard_id;
-            m.epoch = epoch_;
-            m.round = round_;
-            m.seq = seq;
-            if (seq == 0) {
-                m.reports = reports;
-                m.unchanged = a.bitmap;
-            }
-            const std::size_t base = cutBatchFrameSize(
-                m.reports.size(), 0, m.unchanged.size());
-            std::size_t room =
-                base < cfg_.datagram_budget
-                    ? (cfg_.datagram_budget - base) / 12
-                    : 0;
-            if (seq > 0 && room == 0)
-                room = 1; // always make progress
-            const std::size_t take =
-                std::min(room, a.changed.size() - ci);
-            m.changed.assign(a.changed.begin() +
-                                 static_cast<long>(ci),
-                             a.changed.begin() +
-                                 static_cast<long>(ci + take));
-            ci += take;
-            transmitBatch(s, m,
-                          take + (seq == 0 ? a.suppressed : 0));
-            ++seq;
-        } while (ci < a.changed.size());
-    }
+    for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
+        if (!pair_cut_[s].empty() && peer_alive_[s])
+            flushPeer(s, reports);
     resolveRx();
 }
 
 void
-SocketTransport::flushPeerV4(std::uint32_t s,
-                             const std::vector<DpReport> &reports)
+SocketTransport::flushPeer(std::uint32_t s,
+                           const std::vector<DpReport> &reports)
 {
     TxAccum &a = tx_[s];
     stats_.edges_suppressed += a.suppressed;
-    // The sweep may offer cut pairs in lane order; the v4 gap
-    // coding needs strictly ascending record positions.  The sort
+    // The sweep may offer cut pairs in lane order; the gap coding
+    // needs strictly ascending record positions.  The sort
     // is deterministic (positions are unique).
     std::sort(a.changed.begin(), a.changed.end());
 
@@ -872,20 +784,12 @@ SocketTransport::pollGlobalMax(std::uint64_t &round,
 }
 
 void
-SocketTransport::fileBatch(const CutBatchMsg &msg,
-                           std::uint16_t version)
+SocketTransport::fileBatch(const CutBatchMsg &msg)
 {
     const std::uint32_t s = msg.sender;
     if (s >= cfg_.num_shards || s == cfg_.shard_id) {
         warn("shard ", cfg_.shard_id,
              " dropping batch with bad sender ", s);
-        return;
-    }
-    if ((version >= 4) != (cfg_.wire_version >= 4)) {
-        // A peer speaking the wrong negotiated layout: its records
-        // are not interpretable here (absolute vs XOR).
-        warn("shard ", cfg_.shard_id, " dropping v", version,
-             " batch on a v", cfg_.wire_version, " data plane");
         return;
     }
     if (msg.epoch != epoch_) {
@@ -922,59 +826,21 @@ SocketTransport::fileBatch(const CutBatchMsg &msg,
         foldReport(rep);
 
     const std::vector<std::uint32_t> &pcut = pair_cut_[s];
-    if (cfg_.wire_version >= 4) {
-        if (msg.seq == 0) {
-            slot.decl[s] = msg.total_changed;
-            slot.decl_seen[s] = 1;
-            slot.hot_mode[s] = msg.hot_mode;
-            slot.hot_words[s] = msg.hot_words;
-        }
-        for (const auto &[pos, xbits] : msg.changed) {
-            DPC_ASSERT(pos < pcut.size(),
-                       "cut record index ", pos,
-                       " outside the per-pair list");
-            const std::uint32_t ci = pcut[pos];
-            DPC_ASSERT(slot.st[ci] == 0,
-                       "cut edge filed twice in one round");
-            slot.val[ci] = xbits; // raw XOR; resolved at emit
-            slot.st[ci] = 1;
-            ++slot.filed;
-            ++slot.got[s];
-        }
-        return;
+    if (msg.seq == 0) {
+        slot.decl[s] = msg.total_changed;
+        slot.decl_seen[s] = 1;
+        slot.hot_mode[s] = msg.hot_mode;
+        slot.hot_words[s] = msg.hot_words;
     }
-    for (const auto &[pos, bits] : msg.changed) {
-        DPC_ASSERT(pos < pcut.size(),
-                   "cut record index ", pos,
+    for (const auto &[pos, xbits] : msg.changed) {
+        DPC_ASSERT(pos < pcut.size(), "cut record index ", pos,
                    " outside the per-pair list");
         const std::uint32_t ci = pcut[pos];
-        DPC_ASSERT(slot.st[ci] == 0,
+        DPC_ASSERT(slot.filed[ci] == 0,
                    "cut edge filed twice in one round");
-        slot.val[ci] = bits;
-        slot.st[ci] = 1;
-        ++slot.filed;
-    }
-    if (msg.seq == 0 && !msg.unchanged.empty()) {
-        DPC_ASSERT(msg.unchanged.size() ==
-                       (pcut.size() + 63) / 64,
-                   "suppression bitmap size mismatch");
-        for (std::size_t w = 0; w < msg.unchanged.size(); ++w) {
-            std::uint64_t word = msg.unchanged[w];
-            while (word != 0) {
-                const std::uint32_t bit = static_cast<std::uint32_t>(
-                    __builtin_ctzll(word));
-                word &= word - 1;
-                const std::size_t pos = w * 64 + bit;
-                DPC_ASSERT(pos < pcut.size(),
-                           "suppression bit outside the per-pair "
-                           "list");
-                const std::uint32_t ci = pcut[pos];
-                DPC_ASSERT(slot.st[ci] == 0,
-                           "cut edge filed twice in one round");
-                slot.st[ci] = 2;
-                ++slot.filed;
-            }
-        }
+        slot.val[ci] = xbits; // raw XOR; resolved at emit
+        slot.filed[ci] = 1;
+        ++slot.got[s];
     }
 }
 
@@ -1056,27 +922,19 @@ SocketTransport::resolveRx()
         RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
         if (slot.round != rx_emitted_ || !slot.open)
             return;
-        if (cfg_.wire_version >= 4) {
-            // Sender-driven completion: every cut peer's seq-0
-            // declaration seen and all declared records filed.
-            // Unfiled offered positions are HELD values.  Only a
-            // peer CONFIRMED dead by an epoch fence is excused --
-            // a suspected peer (stream down, obituary pending)
-            // still blocks, so the caller parks in poll() where
-            // the control-plane tick can abort the round.
-            for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
-                if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
-                    ((peer_dead_mask_ >> s) & 1u) == 0 &&
-                    !peerDone(slot, s))
-                    return;
-        } else if (slot.filed < slot.offered.size()) {
-            return;
-        }
-        if (cfg_.wire_version < 4)
-            DPC_ASSERT(slot.filed == slot.offered.size(),
-                       "rx slot overfiled: ", slot.filed, " > ",
-                       slot.offered.size());
-        // Emit in offer (canonical) order: refresh the replay
+        // Sender-driven completion: every cut peer's seq-0
+        // declaration seen and all declared records filed.
+        // Unfiled offered positions are HELD values.  Only a peer
+        // CONFIRMED dead by an epoch fence is excused -- a
+        // suspected peer (stream down, obituary pending) still
+        // blocks, so the caller parks in poll() where the
+        // control-plane tick can abort the round.
+        for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
+            if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
+                ((peer_dead_mask_ >> s) & 1u) == 0 &&
+                !peerDone(slot, s))
+                return;
+        // Emit in offer (canonical) order: advance the held-value
         // cache, then hand over the peer-owned half of every
         // offered cut pair -- written straight into the caller's
         // snapshot row when a patch sink is registered, queued as
@@ -1088,29 +946,18 @@ SocketTransport::resolveRx()
                 age = sink_rows_.size() - 1;
             sink_row = sink_rows_[static_cast<std::size_t>(age)];
         }
-        const bool v4 = cfg_.wire_version >= 4;
         for (const std::uint32_t ci : slot.offered) {
-            if (slot.st[ci] == 1) {
-                // v4 records are XOR against the peer's previous
+            if (slot.filed[ci] != 0) {
+                // Records are XOR against the peer's previous
                 // transmission; both caches start empty together
                 // (construction / epoch change), so the chain
                 // stays in lockstep with no absolute/delta flag.
-                rx_val_[ci] = v4 ? (rx_has_[ci] != 0 ? rx_val_[ci]
-                                                     : 0) ^
-                                       slot.val[ci]
-                                 : slot.val[ci];
+                rx_val_[ci] =
+                    (rx_has_[ci] != 0 ? rx_val_[ci] : 0) ^ slot.val[ci];
                 rx_has_[ci] = 1;
-            } else if (v4) {
-                DPC_ASSERT(slot.st[ci] == 0,
-                           "v4 rx slot carries a bitmap state");
+            } else {
                 DPC_ASSERT(rx_has_[ci] != 0,
                            "held cut edge with no cached value");
-            } else {
-                DPC_ASSERT(slot.st[ci] == 2,
-                           "offered cut edge never filed");
-                DPC_ASSERT(rx_has_[ci] != 0,
-                           "suppressed cut edge with no cached "
-                           "value");
             }
             const double pv = doubleOf(rx_val_[ci]);
             if (sink_row != nullptr) {
@@ -1136,12 +983,10 @@ SocketTransport::resolveRx()
         // The round's wake bitmaps land with its value patches
         // (strict round order), which is what keeps the sharded
         // participant gating equal to the single-process mask.
-        if (v4)
-            for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
-                if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
-                    ((peer_dead_mask_ >> s) & 1u) == 0)
-                    applyHotWords(s, slot.hot_mode[s],
-                                  slot.hot_words[s]);
+        for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
+            if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
+                ((peer_dead_mask_ >> s) & 1u) == 0)
+                applyHotWords(s, slot.hot_mode[s], slot.hot_words[s]);
         ++rx_emitted_;
     }
 }
@@ -1207,7 +1052,7 @@ SocketTransport::receiveSome(int timeout_ms)
                     break;
                 }
                 ++stats_.frames_received;
-                fileBatch(f.cut_batch, f.version);
+                fileBatch(f.cut_batch);
                 any = true;
                 off += used;
             }
@@ -1270,7 +1115,7 @@ SocketTransport::receiveSome(int timeout_ms)
                     fatal("shard ", cfg_.shard_id,
                           ": unexpected frame type on data plane");
                 ++stats_.frames_received;
-                fileBatch(f.cut_batch, f.version);
+                fileBatch(f.cut_batch);
                 any = true;
                 off += used;
             }
@@ -1300,11 +1145,15 @@ void
 SocketTransport::fatalTimeout()
 {
     const RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
+    std::uint32_t got = 0, decl = 0;
+    if (slot.round == rx_emitted_)
+        for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
+            got += slot.got[s];
+            decl += slot.decl[s];
+        }
     fatal("shard ", cfg_.shard_id, " timed out in round ", round_,
-          ": round ", rx_emitted_, " has ",
-          slot.round == rx_emitted_ ? slot.filed : 0, " of ",
-          slot.round == rx_emitted_ ? slot.offered.size() : 0,
-          " cut halves (peer dead?)");
+          ": round ", rx_emitted_, " has ", got, " of ", decl,
+          " declared cut records (peer dead?)");
 }
 
 bool
@@ -1335,18 +1184,11 @@ SocketTransport::tickRetransmit()
     // peers that merely have not acked -- there are no acks.)
     const RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
     std::vector<std::uint8_t> owed(cfg_.num_shards, 0);
-    if (slot.round == rx_emitted_) {
-        if (cfg_.wire_version >= 4) {
-            for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
-                if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
-                    !peerDone(slot, s))
-                    owed[s] = 1;
-        } else {
-            for (const std::uint32_t ci : slot.offered)
-                if (slot.st[ci] == 0)
-                    owed[cut_[ci].peer] = 1;
-        }
-    }
+    if (slot.round == rx_emitted_)
+        for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
+            if (s != cfg_.shard_id && !pair_cut_[s].empty() &&
+                !peerDone(slot, s))
+                owed[s] = 1;
     for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
         if (s == cfg_.shard_id || pair_cut_[s].empty() ||
             !peer_alive_[s])
@@ -1463,17 +1305,13 @@ SocketTransport::epochChange(std::uint32_t epoch,
     }
     for (TxAccum &a : tx_) {
         a.changed.clear();
-        a.bitmap.clear();
-        a.offered = 0;
         a.suppressed = 0;
         a.hot.clear();
-        a.hot_valid = false;
     }
     for (RxSlot &s : rx_ring_) {
         s.round = kNoRound;
         s.val.clear();
-        s.st.clear();
-        s.filed = 0;
+        s.filed.clear();
         s.offered.clear();
         s.open = false;
         s.seq_seen.clear();
@@ -1492,7 +1330,7 @@ SocketTransport::epochChange(std::uint32_t epoch,
     // could disagree.
     std::fill(tx_has_.begin(), tx_has_.end(), 0);
     std::fill(rx_has_.begin(), rx_has_.end(), 0);
-    // The v4 wake view and wake accounting baseline go back to
+    // The wake view and wake accounting baseline go back to
     // all-hot: the epoch fence invalidated every held verdict, and
     // the first post-recovery rounds are dense anyway.
     std::fill(wake_hot_.begin(), wake_hot_.end(), std::uint8_t{1});

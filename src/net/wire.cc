@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace dpc {
 namespace net {
@@ -9,8 +10,8 @@ namespace net {
 namespace {
 
 // Little-endian scalar writers/readers.  Byte-at-a-time keeps the
-// codec endian-portable and alignment-safe; the hot PairTransfer
-// frame is 60 bytes, far below any memcpy win worth chasing.
+// codec endian-portable and alignment-safe; the fixed-width fields
+// are a few bytes each, far below any memcpy win worth chasing.
 
 void
 putU16(std::vector<std::uint8_t> &out, std::uint16_t x)
@@ -50,6 +51,24 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/** (index, bits) entries with strictly ascending indices, as varint
+ * pairs: the index as a gap from the previous one (first absolute),
+ * then the bits.  Shared by CutBatch hot words and records. */
+using GapCoded = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+void
+putGapCoded(std::vector<std::uint8_t> &out, const GapCoded &entries)
+{
+    std::uint32_t prev = 0;
+    bool first = true;
+    for (const auto &[idx, bits] : entries) {
+        putVarint(out, first ? idx : idx - prev - 1);
+        putVarint(out, bits);
+        prev = idx;
+        first = false;
+    }
 }
 
 /** Bounds-checked little-endian reader over one payload. */
@@ -138,11 +157,23 @@ class Reader
         return true;
     }
 
-    bool skip(std::size_t k)
+    /** Inverse of putGapCoded() into a pre-sized `entries`;
+     * rejects indices past u32. */
+    bool gapCoded(GapCoded &entries)
     {
-        if (pos_ + k > len_)
-            return false;
-        pos_ += k;
+        std::uint64_t prev = 0;
+        bool first = true;
+        for (auto &[idx, bits] : entries) {
+            std::uint32_t gap = 0;
+            if (!(varint32(gap) && varint(bits)))
+                return false;
+            const std::uint64_t pos = first ? gap : prev + 1 + gap;
+            if (pos > 0xffffffffull)
+                return false;
+            idx = static_cast<std::uint32_t>(pos);
+            prev = pos;
+            first = false;
+        }
         return true;
     }
 
@@ -179,32 +210,6 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
             putU16(out, p);
         break;
     }
-    case FrameType::PairTransfer: {
-        const PairTransferMsg &m = frame.pair_transfer;
-        putU32(out, m.pair.edge_id);
-        putU32(out, m.pair.u);
-        putU32(out, m.pair.v);
-        putU64(out, m.pair.round);
-        putF64(out, m.pair.e_u);
-        putF64(out, m.pair.e_v);
-        putU32(out, m.fate.lag);
-        const std::uint8_t flags =
-            static_cast<std::uint8_t>((m.fate.delivered ? 1u : 0u) |
-                                      (m.update_u ? 2u : 0u) |
-                                      (m.update_v ? 4u : 0u));
-        out.push_back(flags);
-        out.push_back(0);
-        out.push_back(0);
-        out.push_back(0);
-        break;
-    }
-    case FrameType::RoundDone: {
-        const RoundDoneMsg &m = frame.round_done;
-        putU32(out, m.shard_id);
-        putU64(out, m.round);
-        putF64(out, m.local_max_dp);
-        break;
-    }
     case FrameType::RoundGo: {
         const RoundGoMsg &m = frame.round_go;
         putU64(out, m.round);
@@ -228,11 +233,9 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
         putU64(out, m.gaveup_frames);
         putU64(out, m.suspect_events);
         putU64(out, m.peer_suspected);
-        if (frame.version >= 4) {
-            putU64(out, m.suppressed_frames);
-            putU64(out, m.delta_frames);
-            putU64(out, m.wake_messages);
-        }
+        putU64(out, m.suppressed_frames);
+        putU64(out, m.delta_frames);
+        putU64(out, m.wake_messages);
         for (std::uint64_t b : m.edges_per_frame_hist)
             putU64(out, b);
         putF64(out, m.final_local_max_dp);
@@ -256,50 +259,20 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
         putU64(out, m.round);
         putU32(out, m.seq);
         out.push_back(static_cast<std::uint8_t>(m.reports.size()));
-        if (frame.version >= 4) {
-            out.push_back(m.hot_mode);
-            putVarint(out, m.changed.size());
-            if (m.seq == 0)
-                putVarint(out, m.total_changed);
-            if (m.hot_mode == kHotSparse) {
-                putVarint(out, m.hot_words.size());
-                std::uint32_t prev = 0;
-                bool first = true;
-                for (const auto &[w, bits] : m.hot_words) {
-                    putVarint(out, first ? w : w - prev - 1);
-                    putVarint(out, bits);
-                    prev = w;
-                    first = false;
-                }
-            }
-        } else {
-            putU32(out,
-                   static_cast<std::uint32_t>(m.changed.size()));
-            putU32(out,
-                   static_cast<std::uint32_t>(m.unchanged.size()));
+        out.push_back(m.hot_mode);
+        putVarint(out, m.changed.size());
+        if (m.seq == 0)
+            putVarint(out, m.total_changed);
+        if (m.hot_mode == kHotSparse) {
+            putVarint(out, m.hot_words.size());
+            putGapCoded(out, m.hot_words);
         }
         for (const DpReport &rep : m.reports) {
             putU64(out, rep.round);
             putU64(out, rep.shard_mask);
             putF64(out, rep.max_dp);
         }
-        if (frame.version >= 4) {
-            std::uint32_t prev = 0;
-            bool first = true;
-            for (const auto &[idx, bits] : m.changed) {
-                putVarint(out, first ? idx : idx - prev - 1);
-                putVarint(out, bits);
-                prev = idx;
-                first = false;
-            }
-        } else {
-            for (const auto &[idx, bits] : m.changed) {
-                putU32(out, idx);
-                putU64(out, bits);
-            }
-            for (std::uint64_t w : m.unchanged)
-                putU64(out, w);
-        }
+        putGapCoded(out, m.changed);
         break;
     }
     case FrameType::EpochChange: {
@@ -366,25 +339,6 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
                 return false;
         return r.done();
     }
-    case FrameType::PairTransfer: {
-        PairTransferMsg &m = out.pair_transfer;
-        std::uint8_t flags = 0;
-        if (!(r.u32(m.pair.edge_id) && r.u32(m.pair.u) &&
-              r.u32(m.pair.v) && r.u64(m.pair.round) &&
-              r.f64(m.pair.e_u) && r.f64(m.pair.e_v) &&
-              r.u32(m.fate.lag) && r.u8(flags) && r.skip(3) &&
-              r.done()))
-            return false;
-        m.fate.delivered = (flags & 1u) != 0;
-        m.update_u = (flags & 2u) != 0;
-        m.update_v = (flags & 4u) != 0;
-        return true;
-    }
-    case FrameType::RoundDone: {
-        RoundDoneMsg &m = out.round_done;
-        return r.u32(m.shard_id) && r.u64(m.round) &&
-               r.f64(m.local_max_dp) && r.done();
-    }
     case FrameType::RoundGo: {
         RoundGoMsg &m = out.round_go;
         return r.u64(m.round) && r.f64(m.global_max_dp) &&
@@ -400,11 +354,8 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
               r.u64(m.duplicates) && r.u64(m.edges_suppressed) &&
               r.u64(m.stale_epoch_frames) &&
               r.u64(m.gaveup_frames) && r.u64(m.suspect_events) &&
-              r.u64(m.peer_suspected)))
-            return false;
-        if (out.version >= 4 &&
-            !(r.u64(m.suppressed_frames) && r.u64(m.delta_frames) &&
-              r.u64(m.wake_messages)))
+              r.u64(m.peer_suspected) && r.u64(m.suppressed_frames) &&
+              r.u64(m.delta_frames) && r.u64(m.wake_messages)))
             return false;
         for (auto &b : m.edges_per_frame_hist)
             if (!r.u64(b))
@@ -430,84 +381,32 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
     case FrameType::CutBatch: {
         CutBatchMsg &m = out.cut_batch;
         std::uint8_t n_reports = 0;
-        std::uint32_t n_changed = 0, n_words = 0;
-        if (!(r.u32(m.sender) && r.u32(m.epoch) &&
-              r.u64(m.round) && r.u32(m.seq) && r.u8(n_reports)))
-            return false;
-        if (out.version >= 4) {
-            m.unchanged.clear();
-            m.total_changed = 0;
-            m.hot_words.clear();
-            std::uint32_t n_hot = 0;
-            if (!(r.u8(m.hot_mode) && r.varint32(n_changed)))
-                return false;
-            if (m.seq == 0) {
-                if (!r.varint32(m.total_changed))
-                    return false;
-            } else if (m.hot_mode != kHotNone) {
-                // The hot bitmap rides seq 0 only.
-                return false;
-            }
-            if (m.hot_mode > kHotClear)
-                return false;
-            if (m.hot_mode == kHotSparse &&
-                !r.varint32(n_hot))
-                return false;
-            // Every entry/record is >= 2 varint bytes; reject
-            // counts that cannot fit before allocating.
-            if (std::size_t{n_reports} * 24 +
-                    std::size_t{n_changed} * 2 +
-                    std::size_t{n_hot} * 2 >
-                len)
-                return false;
-            m.hot_words.resize(n_hot);
-            std::uint64_t prev = 0;
-            bool first = true;
-            for (auto &[w, bits] : m.hot_words) {
-                std::uint32_t gap = 0;
-                if (!(r.varint32(gap) && r.varint(bits)))
-                    return false;
-                const std::uint64_t idx =
-                    first ? gap : prev + 1 + gap;
-                if (idx > 0xffffffffull)
-                    return false;
-                w = static_cast<std::uint32_t>(idx);
-                prev = idx;
-                first = false;
-            }
-            m.reports.resize(n_reports);
-            for (DpReport &rep : m.reports)
-                if (!(r.u64(rep.round) && r.u64(rep.shard_mask) &&
-                      r.f64(rep.max_dp)))
-                    return false;
-            m.changed.resize(n_changed);
-            prev = 0;
-            first = true;
-            for (auto &[idx, bits] : m.changed) {
-                std::uint32_t gap = 0;
-                if (!(r.varint32(gap) && r.varint(bits)))
-                    return false;
-                const std::uint64_t pos =
-                    first ? gap : prev + 1 + gap;
-                if (pos > 0xffffffffull)
-                    return false;
-                idx = static_cast<std::uint32_t>(pos);
-                prev = pos;
-                first = false;
-            }
-            return r.done();
-        }
+        std::uint32_t n_changed = 0, n_hot = 0;
         m.total_changed = 0;
-        m.hot_mode = kHotNone;
         m.hot_words.clear();
-        if (!(r.u32(n_changed) && r.u32(n_words)))
+        if (!(r.u32(m.sender) && r.u32(m.epoch) &&
+              r.u64(m.round) && r.u32(m.seq) && r.u8(n_reports) &&
+              r.u8(m.hot_mode) && r.varint32(n_changed)))
             return false;
-        // The length prefix bounds the payload; reject counts that
-        // cannot fit before allocating.
-        if (std::size_t{n_reports} * 24 +
-                std::size_t{n_changed} * 12 +
-                std::size_t{n_words} * 8 >
+        if (m.seq == 0) {
+            if (!r.varint32(m.total_changed))
+                return false;
+        } else if (m.hot_mode != kHotNone) {
+            // The hot bitmap rides seq 0 only.
+            return false;
+        }
+        if (m.hot_mode > kHotClear)
+            return false;
+        if (m.hot_mode == kHotSparse && !r.varint32(n_hot))
+            return false;
+        // Every entry/record is >= 2 varint bytes; reject counts
+        // that cannot fit before allocating.
+        if (std::size_t{n_reports} * 24 + std::size_t{n_changed} * 2 +
+                std::size_t{n_hot} * 2 >
             len)
+            return false;
+        m.hot_words.resize(n_hot);
+        if (!r.gapCoded(m.hot_words))
             return false;
         m.reports.resize(n_reports);
         for (DpReport &rep : m.reports)
@@ -515,14 +414,7 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
                   r.f64(rep.max_dp)))
                 return false;
         m.changed.resize(n_changed);
-        for (auto &[idx, bits] : m.changed)
-            if (!(r.u32(idx) && r.u64(bits)))
-                return false;
-        m.unchanged.resize(n_words);
-        for (std::uint64_t &w : m.unchanged)
-            if (!r.u64(w))
-                return false;
-        return r.done();
+        return r.gapCoded(m.changed) && r.done();
     }
     case FrameType::EpochChange: {
         EpochChangeMsg &m = out.epoch_change;
@@ -574,8 +466,18 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
 bool
 knownType(std::uint16_t t)
 {
-    return t >= static_cast<std::uint16_t>(FrameType::Hello) &&
-           t <= static_cast<std::uint16_t>(FrameType::Heartbeat);
+    switch (static_cast<FrameType>(t)) {
+    case FrameType::Hello:
+    case FrameType::Welcome:
+    case FrameType::RoundGo:
+    case FrameType::Result:
+    case FrameType::CutBatch:
+    case FrameType::EpochChange:
+    case FrameType::EpochAck:
+    case FrameType::Heartbeat:
+        return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -598,35 +500,12 @@ encodeFrame(const Frame &frame, std::vector<std::uint8_t> &out)
 }
 
 void
-encodePairTransfer(const PairTransferMsg &msg,
-                   std::vector<std::uint8_t> &out)
-{
-    Frame f;
-    f.type = FrameType::PairTransfer;
-    f.pair_transfer = msg;
-    encodeFrame(f, out);
-}
-
-void
-encodeCutBatch(const CutBatchMsg &msg,
-               std::vector<std::uint8_t> &out,
-               std::uint16_t version)
+encodeCutBatch(const CutBatchMsg &msg, std::vector<std::uint8_t> &out)
 {
     Frame f;
     f.type = FrameType::CutBatch;
-    f.version = version;
     f.cut_batch = msg;
     encodeFrame(f, out);
-}
-
-std::size_t
-cutBatchFrameSize(std::size_t n_reports, std::size_t n_changed,
-                  std::size_t n_bitmap_words)
-{
-    // Fixed part: sender(4) + epoch(4) + round(8) + seq(4) +
-    // n_reports(1) + n_changed(4) + n_bitmap_words(4) = 29.
-    return kWireHeaderSize + 29 + n_reports * 24 + n_changed * 12 +
-           n_bitmap_words * 8;
 }
 
 DecodeStatus
@@ -652,13 +531,12 @@ decodeFrame(const std::uint8_t *data, std::size_t len, Frame &out,
     h.u32(payload_len);
     if (magic != kWireMagic)
         return DecodeStatus::Bad;
-    if (version < kWireMinVersion)
-        return DecodeStatus::Bad;
-    // The body layout is version-split (CutBatch, Result); a frame
-    // from a NEWER build cannot be decoded by this one's layouts.
+    out.version = version;
+    // This build knows one body layout per frame type: an older
+    // peer's layouts are gone, and a NEWER build's cannot be known.
     // Negotiation keeps agreed traffic at min(mine, theirs), so
-    // anything above kWireVersion is a peer that skipped it.
-    if (version > kWireVersion)
+    // anything else is a peer that skipped it.
+    if (version < kWireMinVersion || version > kWireVersion)
         return DecodeStatus::Bad;
     if (!knownType(type))
         return DecodeStatus::Bad;
@@ -666,7 +544,6 @@ decodeFrame(const std::uint8_t *data, std::size_t len, Frame &out,
         return DecodeStatus::Bad;
     if (len < kWireHeaderSize + payload_len)
         return DecodeStatus::NeedMore;
-    out.version = version;
     out.type = static_cast<FrameType>(type);
     if (!decodeBody(out.type, data + kWireHeaderSize, payload_len,
                     out))

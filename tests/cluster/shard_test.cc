@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "cluster/shard.hh"
 #include "graph/topologies.hh"
@@ -77,27 +78,39 @@ TEST(ShardPlanTest, BlocksPartitionAndCutsAreCounted)
     EXPECT_EQ(replay.cut_edges, plan.cut_edges);
 }
 
+/** The layouts every parity test runs under: the plan partitions
+ * the WORKING id space, and a non-identity permutation may reverse
+ * an overlay edge's orientation there (the original endpoints the
+ * wire addresses are then the working pair swapped). */
+constexpr Layout kLayouts[] = {Layout::identity, Layout::rcm};
+
 TEST(ShardProcessTest, TwoShardUdpMatchesSingleProcessBitwise)
 {
     const std::size_t n = 64, rounds = 40;
     const auto prob = test::npbProblem(n, 170.0, 5);
     Rng topo_rng(9);
     const auto topo = makeChordalRing(n, 8, topo_rng);
-    const DibaAllocator::Config cfg{};
 
-    ShardRunOptions opt;
-    opt.num_shards = 2;
-    opt.rounds = rounds;
-    opt.proto = net::SocketTransport::Proto::Udp;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-    EXPECT_EQ(sharded.rounds_run, rounds);
-    EXPECT_GT(sharded.wire_frames, 0u);
-    EXPECT_GT(sharded.wire_bytes, 0u);
+    for (const Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        DibaAllocator::Config cfg;
+        cfg.layout = layout;
 
-    const auto ref = referenceRun(prob, topo, cfg, rounds);
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
+        ShardRunOptions opt;
+        opt.num_shards = 2;
+        opt.rounds = rounds;
+        opt.proto = net::SocketTransport::Proto::Udp;
+        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+        ASSERT_TRUE(sharded.ok) << sharded.error;
+        EXPECT_EQ(sharded.rounds_run, rounds);
+        EXPECT_GT(sharded.wire_frames, 0u);
+        EXPECT_GT(sharded.wire_bytes, 0u);
+
+        const auto ref = referenceRun(prob, topo, cfg, rounds);
+        expectBitwiseEqual(ref.power(), sharded.power, "power");
+        expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                           "estimate");
+    }
 }
 
 TEST(ShardProcessTest, FourShardTcpMatchesSingleProcessBitwise)
@@ -106,21 +119,27 @@ TEST(ShardProcessTest, FourShardTcpMatchesSingleProcessBitwise)
     const auto prob = test::npbProblem(n, 170.0, 7);
     Rng topo_rng(3);
     const auto topo = makeChordalRing(n, 6, topo_rng);
-    const DibaAllocator::Config cfg{};
 
-    ShardRunOptions opt;
-    opt.num_shards = 4;
-    opt.rounds = rounds;
-    opt.proto = net::SocketTransport::Proto::Tcp;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-    EXPECT_EQ(sharded.rounds_run, rounds);
-    // TCP is reliable: a clean loopback run never retransmits.
-    EXPECT_EQ(sharded.retransmits, 0u);
+    for (const Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        DibaAllocator::Config cfg;
+        cfg.layout = layout;
 
-    const auto ref = referenceRun(prob, topo, cfg, rounds);
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
+        ShardRunOptions opt;
+        opt.num_shards = 4;
+        opt.rounds = rounds;
+        opt.proto = net::SocketTransport::Proto::Tcp;
+        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+        ASSERT_TRUE(sharded.ok) << sharded.error;
+        EXPECT_EQ(sharded.rounds_run, rounds);
+        // TCP is reliable: a clean loopback run never retransmits.
+        EXPECT_EQ(sharded.retransmits, 0u);
+
+        const auto ref = referenceRun(prob, topo, cfg, rounds);
+        expectBitwiseEqual(ref.power(), sharded.power, "power");
+        expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                           "estimate");
+    }
 }
 
 TEST(ShardProcessTest, OverlapOffMatchesSingleProcessBitwise)
@@ -271,33 +290,39 @@ TEST(ShardSparseTest, ActiveSetTwoShardUdpMatchesIterateBitwise)
     const auto prob = test::npbProblem(n, 170.0, 5);
     Rng topo_rng(9);
     const auto topo = makeChordalRing(n, 8, topo_rng);
-    DibaAllocator::Config cfg;
-    cfg.active_threshold = 0.25 * cfg.tolerance;
 
-    ShardRunOptions opt;
-    opt.num_shards = 2;
-    opt.rounds = rounds;
-    opt.proto = net::SocketTransport::Proto::Udp;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-    ASSERT_TRUE(sharded.ok) << sharded.error;
+    for (const Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        DibaAllocator::Config cfg;
+        cfg.active_threshold = 0.25 * cfg.tolerance;
+        cfg.layout = layout;
 
-    DibaAllocator ref(topo, cfg);
-    ref.reset(prob);
-    ASSERT_TRUE(ref.sparseEngineActive());
-    for (std::size_t r = 0; r < rounds; ++r)
-        ref.iterate();
+        ShardRunOptions opt;
+        opt.num_shards = 2;
+        opt.rounds = rounds;
+        opt.proto = net::SocketTransport::Proto::Udp;
+        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+        ASSERT_TRUE(sharded.ok) << sharded.error;
 
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
-    // A quarter-tolerance threshold keeps a sub-tolerance residual
-    // tail oscillating for thousands of rounds -- the demanding
-    // parity regime -- so full suppression is not expected here
-    // (see FullyQuiescedBoundaryShipsSuppressedFrames); but the
-    // delta path and the wake channel must both have carried real
-    // traffic while the frontier narrowed.
-    EXPECT_GT(sharded.delta_frames, 0u);
-    EXPECT_GT(sharded.wake_messages, 0u);
+        DibaAllocator ref(topo, cfg);
+        ref.reset(prob);
+        ASSERT_TRUE(ref.sparseEngineActive());
+        for (std::size_t r = 0; r < rounds; ++r)
+            ref.iterate();
+
+        expectBitwiseEqual(ref.power(), sharded.power, "power");
+        expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                           "estimate");
+        // A quarter-tolerance threshold keeps a sub-tolerance
+        // residual tail oscillating for thousands of rounds -- the
+        // demanding parity regime -- so full suppression is not
+        // expected here (see
+        // FullyQuiescedBoundaryShipsSuppressedFrames); but the
+        // delta path and the wake channel must both have carried
+        // real traffic while the frontier narrowed.
+        EXPECT_GT(sharded.delta_frames, 0u);
+        EXPECT_GT(sharded.wake_messages, 0u);
+    }
 }
 
 TEST(ShardSparseTest, FullyQuiescedBoundaryShipsSuppressedFrames)
@@ -340,12 +365,10 @@ TEST(ShardSparseTest, FullyQuiescedBoundaryShipsSuppressedFrames)
 TEST(ShardSparseTest, ThresholdZeroKeepsTheDenseShardedPath)
 {
     // Structural pin: active_threshold == 0 must leave the sharded
-    // rounds on the dense PR 8 transport path (the sparse round is
+    // rounds on the dense transport path (the sparse round is
     // gated on a STRICTLY positive threshold), bitwise equal to
-    // the dense loopback reference -- on the v4 wire (whose delta
-    // framing then applies to the dense rounds) AND forced down to
-    // v3 through the broker's version negotiation, where the v4
-    // sparsity counters must all stay zero.
+    // the dense loopback reference, with the delta framing
+    // applied to the dense rounds.
     const std::size_t n = 64, rounds = 40;
     const auto prob = test::npbProblem(n, 170.0, 5);
     Rng topo_rng(9);
@@ -354,24 +377,16 @@ TEST(ShardSparseTest, ThresholdZeroKeepsTheDenseShardedPath)
     cfg.active_threshold = 0.0;
 
     const auto ref = referenceRun(prob, topo, cfg, rounds);
-    for (const std::uint16_t version :
-         {net::kWireVersion, net::kWireMinVersion}) {
-        ShardRunOptions opt;
-        opt.num_shards = 2;
-        opt.rounds = rounds;
-        opt.proto = net::SocketTransport::Proto::Udp;
-        opt.wire_version = version;
-        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-        ASSERT_TRUE(sharded.ok) << sharded.error;
-        expectBitwiseEqual(ref.power(), sharded.power, "power");
-        expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                           "estimate");
-        if (version < 4) {
-            EXPECT_EQ(sharded.suppressed_frames, 0u);
-            EXPECT_EQ(sharded.delta_frames, 0u);
-            EXPECT_EQ(sharded.wake_messages, 0u);
-        }
-    }
+    ShardRunOptions opt;
+    opt.num_shards = 2;
+    opt.rounds = rounds;
+    opt.proto = net::SocketTransport::Proto::Udp;
+    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    expectBitwiseEqual(ref.power(), sharded.power, "power");
+    expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                       "estimate");
+    EXPECT_GT(sharded.delta_frames, 0u);
 }
 
 TEST(ShardSparseTest, WarmStartedBudgetStepMatchesSingleProcess)
@@ -421,26 +436,32 @@ TEST(ShardSparseTest, SparseTcpAndFourShardsStayBitwise)
     const auto prob = test::npbProblem(n, 170.0, 7);
     Rng topo_rng(3);
     const auto topo = makeChordalRing(n, 6, topo_rng);
-    DibaAllocator::Config cfg;
-    cfg.active_threshold = 0.25 * cfg.tolerance;
 
-    DibaAllocator ref(topo, cfg);
-    ref.reset(prob);
-    for (std::size_t r = 0; r < rounds; ++r)
-        ref.iterate();
+    for (const Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        DibaAllocator::Config cfg;
+        cfg.active_threshold = 0.25 * cfg.tolerance;
+        cfg.layout = layout;
 
-    for (const auto proto : {net::SocketTransport::Proto::Tcp,
-                             net::SocketTransport::Proto::Udp}) {
-        ShardRunOptions opt;
-        opt.num_shards =
-            proto == net::SocketTransport::Proto::Tcp ? 2u : 4u;
-        opt.rounds = rounds;
-        opt.proto = proto;
-        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-        ASSERT_TRUE(sharded.ok) << sharded.error;
-        expectBitwiseEqual(ref.power(), sharded.power, "power");
-        expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                           "estimate");
+        DibaAllocator ref(topo, cfg);
+        ref.reset(prob);
+        for (std::size_t r = 0; r < rounds; ++r)
+            ref.iterate();
+
+        for (const auto proto : {net::SocketTransport::Proto::Tcp,
+                                 net::SocketTransport::Proto::Udp}) {
+            ShardRunOptions opt;
+            opt.num_shards =
+                proto == net::SocketTransport::Proto::Tcp ? 2u : 4u;
+            opt.rounds = rounds;
+            opt.proto = proto;
+            const auto sharded =
+                runShardedDiba(prob, topo, cfg, opt);
+            ASSERT_TRUE(sharded.ok) << sharded.error;
+            expectBitwiseEqual(ref.power(), sharded.power, "power");
+            expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                               "estimate");
+        }
     }
 }
 
@@ -450,36 +471,78 @@ TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
     // transport with a SAME-SEED LossyTransport, so the replicas
     // agree on every fate with zero coordination -- and the whole
     // sharded run stays bitwise equal to the single-process lossy
-    // loopback with that seed.
+    // loopback with that seed.  The decorator still offers every
+    // cut pair to the socket layer (only fates are merged at
+    // poll), so the delta-coded wire runs underneath unchanged.
     const std::size_t n = 48, rounds = 30;
     const auto prob = test::npbProblem(n, 170.0, 11);
     Rng topo_rng(4);
     const auto topo = makeChordalRing(n, 6, topo_rng);
-    const DibaAllocator::Config cfg{};
 
-    LossyChannel::Config loss;
-    loss.drop_rate = 0.15;
-    loss.delay_rate = 0.1;
-    loss.max_lag = 2;
+    for (const Layout layout : kLayouts)
+        for (const auto proto : {net::SocketTransport::Proto::Udp,
+                                 net::SocketTransport::Proto::Tcp})
+            for (const std::uint32_t shards : {2u, 4u})
+                for (const std::size_t max_lag : {0u, 3u}) {
+                    SCOPED_TRACE(
+                        std::string(layoutName(layout)) +
+                        (proto == net::SocketTransport::Proto::Udp
+                             ? " udp "
+                             : " tcp ") +
+                        std::to_string(shards) + " shards, max_lag " +
+                        std::to_string(max_lag));
+                    DibaAllocator::Config cfg;
+                    cfg.layout = layout;
 
+                    LossyChannel::Config loss;
+                    loss.drop_rate = 0.15;
+                    loss.burst_enter = 0.05;
+                    loss.delay_rate = max_lag > 0 ? 0.1 : 0.0;
+                    loss.max_lag = max_lag;
+
+                    ShardRunOptions opt;
+                    opt.num_shards = shards;
+                    opt.rounds = rounds;
+                    opt.proto = proto;
+                    opt.lossy = true;
+                    opt.loss = loss;
+                    opt.loss_seed = 99;
+                    const auto sharded =
+                        runShardedDiba(prob, topo, cfg, opt);
+                    ASSERT_TRUE(sharded.ok) << sharded.error;
+                    EXPECT_GT(sharded.delta_frames, 0u);
+
+                    DibaAllocator ref(topo, cfg);
+                    ref.reset(prob);
+                    net::LoopbackTransport loopback;
+                    fault::LossyTransport lossy(loopback, loss, 99);
+                    for (std::size_t r = 0; r < rounds; ++r)
+                        ref.stepWithTransport(lossy);
+
+                    expectBitwiseEqual(ref.power(), sharded.power,
+                                       "power");
+                    expectBitwiseEqual(ref.estimates(),
+                                       sharded.estimates,
+                                       "estimate");
+                }
+}
+
+TEST(ShardProcessDeathTest, RejectsLossyActiveSetRuns)
+{
+    // The fault decorator carries no wake channel, so a lossy run
+    // cannot take the sparse transport round; it is refused up
+    // front instead of silently running dense.
+    const auto prob = test::npbProblem(16, 170.0, 5);
+    Rng topo_rng(9);
+    const auto topo = makeChordalRing(16, 4, topo_rng);
+    DibaAllocator::Config cfg;
+    cfg.active_threshold = 0.25 * cfg.tolerance;
     ShardRunOptions opt;
     opt.num_shards = 2;
-    opt.rounds = rounds;
+    opt.rounds = 1;
     opt.lossy = true;
-    opt.loss = loss;
-    opt.loss_seed = 99;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-
-    DibaAllocator ref(topo, cfg);
-    ref.reset(prob);
-    net::LoopbackTransport loopback;
-    fault::LossyTransport lossy(loopback, loss, 99);
-    for (std::size_t r = 0; r < rounds; ++r)
-        ref.stepWithTransport(lossy);
-
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
+    EXPECT_DEATH(runShardedDiba(prob, topo, cfg, opt),
+                 "lossy requires active_threshold == 0");
 }
 
 } // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/wire.hh"
 
@@ -32,52 +36,195 @@ roundTrip(const Frame &in)
     return out;
 }
 
-TEST(WireCodecTest, PairTransferRoundTripsAllFates)
+/** One representative frame of every type this build decodes,
+ * CutBatch once per hot-bitmap mode (seq 0) plus a continuation
+ * frame.  Every double-carrying field holds a distinct value so a
+ * swapped field shows up. */
+std::vector<std::pair<std::string, Frame>>
+sampleFrames()
 {
-    // Exhaustive over the fate space the transports produce:
-    // delivered x lag 0..maxLag x every update-flag combination.
-    constexpr std::uint32_t kMaxLag = 7;
-    for (int delivered = 0; delivered <= 1; ++delivered) {
-        for (std::uint32_t lag = 0; lag <= kMaxLag; ++lag) {
-            for (int flags = 0; flags < 4; ++flags) {
-                Frame in;
-                in.type = FrameType::PairTransfer;
-                in.pair_transfer.pair = EdgePair{
-                    /*edge_id=*/lag * 131u + 7u,
-                    /*u=*/3u,
-                    /*v=*/11u,
-                    /*round=*/0x0123456789abcdefULL,
-                    /*e_u=*/1.25 * lag - 0.5,
-                    /*e_v=*/-(1.25 * lag - 0.5),
-                };
-                in.pair_transfer.fate.delivered = delivered != 0;
-                in.pair_transfer.fate.lag = lag;
-                in.pair_transfer.update_u = (flags & 1) != 0;
-                in.pair_transfer.update_v = (flags & 2) != 0;
-
-                const Frame out = roundTrip(in);
-                ASSERT_EQ(out.type, FrameType::PairTransfer);
-                const auto &p = out.pair_transfer;
-                EXPECT_EQ(p.pair.edge_id,
-                          in.pair_transfer.pair.edge_id);
-                EXPECT_EQ(p.pair.u, 3u);
-                EXPECT_EQ(p.pair.v, 11u);
-                EXPECT_EQ(p.pair.round, 0x0123456789abcdefULL);
-                EXPECT_TRUE(sameBits(p.pair.e_u,
-                                     in.pair_transfer.pair.e_u));
-                EXPECT_TRUE(sameBits(p.pair.e_v,
-                                     in.pair_transfer.pair.e_v));
-                EXPECT_EQ(p.fate.delivered, delivered != 0);
-                EXPECT_EQ(p.fate.lag, lag);
-                EXPECT_EQ(p.update_u, (flags & 1) != 0);
-                EXPECT_EQ(p.update_v, (flags & 2) != 0);
-            }
-        }
+    std::vector<std::pair<std::string, Frame>> out;
+    {
+        Frame f;
+        f.type = FrameType::Hello;
+        f.hello = HelloMsg{/*shard_id=*/3, /*version=*/kWireVersion,
+                           /*udp_port=*/40123, /*tcp_port=*/40124};
+        out.emplace_back("Hello", f);
     }
+    {
+        Frame f;
+        f.type = FrameType::Welcome;
+        f.welcome.agreed_version = kWireVersion;
+        f.welcome.num_shards = 4;
+        f.welcome.rounds = 60;
+        f.welcome.udp_ports = {1000, 1001, 1002, 1003};
+        f.welcome.tcp_ports = {2000, 2001, 2002, 2003};
+        out.emplace_back("Welcome", f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::RoundGo;
+        f.round_go = RoundGoMsg{/*round=*/42, /*global_max_dp=*/0.5,
+                                /*stop=*/1};
+        out.emplace_back("RoundGo", f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::Result;
+        ResultMsg &m = f.result;
+        m.shard_id = 2;
+        m.epoch = 4;
+        m.bytes_sent = 1 << 20;
+        m.frames_sent = 999;
+        m.retransmits = 3;
+        m.edges_suppressed = 77;
+        m.suppressed_frames = 111;
+        m.delta_frames = 222;
+        m.wake_messages = 333;
+        m.edges_per_frame_hist[0] = 5;
+        m.edges_per_frame_hist[kEdgesPerFrameBuckets - 1] = 6;
+        m.final_local_max_dp = 1e-9;
+        m.phase_send_s = 0.25;
+        m.phase_interior_s = 0.125;
+        m.phase_drain_s = 0.0625;
+        m.phase_boundary_s = 0.03125;
+        m.round_loop_s = 2.5;
+        m.node_ids = {5, 9, 13};
+        m.power = {160.0, 170.5, 180.25};
+        m.estimate = {1e-12, -1e-12, 3e-12};
+        out.emplace_back("Result", f);
+    }
+    const std::pair<const char *, std::uint8_t> modes[] = {
+        {"CutBatch/all", kHotAll},
+        {"CutBatch/clear", kHotClear},
+        {"CutBatch/sparse", kHotSparse},
+    };
+    for (const auto &[name, mode] : modes) {
+        Frame f;
+        f.type = FrameType::CutBatch;
+        CutBatchMsg &m = f.cut_batch;
+        m.sender = 1;
+        m.epoch = 9;
+        m.round = 0xfedcba9876543210ULL;
+        m.seq = 0;
+        m.total_changed = 3;
+        m.hot_mode = mode;
+        if (mode == kHotSparse)
+            m.hot_words = {{0u, 0x1ULL}, {3u, 0xdeadbeefcafef00dULL}};
+        m.reports = {DpReport{41, 0b1011, 0.001953125},
+                     DpReport{42, 0b0001, 0.0078125}};
+        m.changed = {{0u, 0x7fULL}, {5u, 0x3ff0000000000001ULL}};
+        out.emplace_back(name, f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::CutBatch;
+        f.cut_batch.sender = 2;
+        f.cut_batch.round = 7;
+        f.cut_batch.seq = 3;
+        f.cut_batch.changed = {{4u, 0x55ULL}, {800u, ~0ULL}};
+        out.emplace_back("CutBatch/continuation", f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::EpochChange;
+        f.epoch_change.epoch = 3;
+        f.epoch_change.phase = EpochPhase::Resume;
+        f.epoch_change.resume_round = 0x123456789abcULL;
+        f.epoch_change.dead_mask = 0b1010;
+        f.epoch_change.held = {-1234.5, 1.0 / 3.0};
+        out.emplace_back("EpochChange", f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::EpochAck;
+        f.epoch_ack.shard_id = 2;
+        f.epoch_ack.epoch = 5;
+        f.epoch_ack.phase = EpochPhase::Rollback;
+        f.epoch_ack.last_completed = 41;
+        f.epoch_ack.sum_p = {513.0, 170.0};
+        f.epoch_ack.sum_e = {-1e-12, 2e-12};
+        out.emplace_back("EpochAck", f);
+    }
+    {
+        Frame f;
+        f.type = FrameType::Heartbeat;
+        f.heartbeat = HeartbeatMsg{/*shard_id=*/7, /*epoch=*/2,
+                                   /*round=*/0xabcdefULL};
+        out.emplace_back("Heartbeat", f);
+    }
+    return out;
+}
+
+/** Rewrite every 64-bit value field a frame carries -- the f64
+ * fields, plus the CutBatch records' XOR payloads (the bits of the
+ * peer's estimate on a first transmission) -- as map(i, old bits),
+ * i counting fields in a fixed order; returns the field count. */
+template <class Map>
+std::size_t
+mapValueFields(Frame &f, Map map)
+{
+    std::size_t i = 0;
+    const auto d = [&](double &x) {
+        x = std::bit_cast<double>(
+            map(i++, std::bit_cast<std::uint64_t>(x)));
+    };
+    switch (f.type) {
+    case FrameType::RoundGo:
+        d(f.round_go.global_max_dp);
+        break;
+    case FrameType::Result:
+        d(f.result.final_local_max_dp);
+        d(f.result.phase_send_s);
+        d(f.result.phase_interior_s);
+        d(f.result.phase_drain_s);
+        d(f.result.phase_boundary_s);
+        d(f.result.round_loop_s);
+        for (double &x : f.result.power)
+            d(x);
+        for (double &x : f.result.estimate)
+            d(x);
+        break;
+    case FrameType::CutBatch:
+        for (DpReport &r : f.cut_batch.reports)
+            d(r.max_dp);
+        for (auto &rec : f.cut_batch.changed) {
+            rec.second = map(i, rec.second);
+            ++i;
+        }
+        break;
+    case FrameType::EpochChange:
+        for (double &x : f.epoch_change.held)
+            d(x);
+        break;
+    case FrameType::EpochAck:
+        for (double &x : f.epoch_ack.sum_p)
+            d(x);
+        for (double &x : f.epoch_ack.sum_e)
+            d(x);
+        break;
+    default: // Hello, Welcome, Heartbeat: integers only
+        break;
+    }
+    return i;
+}
+
+std::vector<std::uint64_t>
+valueBits(Frame f)
+{
+    std::vector<std::uint64_t> bits;
+    mapValueFields(f, [&](std::size_t, std::uint64_t b) {
+        bits.push_back(b);
+        return b;
+    });
+    return bits;
 }
 
 TEST(WireCodecTest, DoublesTravelAsExactBitPatterns)
 {
+    // Every f64 field of every frame type (and the CutBatch record
+    // bits) must survive as the identical IEEE pattern: NaN
+    // payloads, signed zeros and subnormals included.
     const double cases[] = {
         0.0,
         -0.0,
@@ -85,157 +232,82 @@ TEST(WireCodecTest, DoublesTravelAsExactBitPatterns)
         std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity(),
         std::numeric_limits<double>::quiet_NaN(),
+        std::bit_cast<double>(0x7ff0000000000001ULL), // signalling
         std::numeric_limits<double>::denorm_min(),
-        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0, // denormal
         std::numeric_limits<double>::max(),
         std::nextafter(170.0, 0.0),
     };
-    for (const double x : cases) {
-        Frame in;
-        in.type = FrameType::PairTransfer;
-        in.pair_transfer.pair.e_u = x;
-        in.pair_transfer.pair.e_v = -x;
-        const Frame out = roundTrip(in);
-        EXPECT_TRUE(sameBits(out.pair_transfer.pair.e_u, x));
-        EXPECT_TRUE(sameBits(out.pair_transfer.pair.e_v, -x));
+    for (auto [name, in] : sampleFrames()) {
+        const bool carries = in.type != FrameType::Hello &&
+                             in.type != FrameType::Welcome &&
+                             in.type != FrameType::Heartbeat;
+        for (const double x : cases) {
+            // Alternate the sign so neighbouring fields differ.
+            const std::size_t n = mapValueFields(
+                in, [&](std::size_t i, std::uint64_t) {
+                    return std::bit_cast<std::uint64_t>(
+                        i % 2 == 0 ? x : -x);
+                });
+            EXPECT_EQ(n > 0, carries) << name;
+            const Frame out = roundTrip(in);
+            ASSERT_EQ(out.type, in.type) << name;
+            EXPECT_EQ(valueBits(out), valueBits(in))
+                << name << " value " << x;
+        }
     }
 }
 
 TEST(WireCodecTest, ControlFramesRoundTrip)
 {
-    {
-        Frame in;
-        in.type = FrameType::Hello;
-        in.hello = HelloMsg{/*shard_id=*/3, /*version=*/kWireVersion,
-                            /*udp_port=*/40123, /*tcp_port=*/40124};
+    for (const auto &[name, in] : sampleFrames()) {
         const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::Hello);
-        EXPECT_EQ(out.hello.shard_id, 3u);
-        EXPECT_EQ(out.hello.udp_port, 40123);
-        EXPECT_EQ(out.hello.tcp_port, 40124);
-    }
-    {
-        Frame in;
-        in.type = FrameType::Welcome;
-        in.welcome.agreed_version = kWireVersion;
-        in.welcome.num_shards = 4;
-        in.welcome.rounds = 60;
-        in.welcome.udp_ports = {1000, 1001, 1002, 1003};
-        in.welcome.tcp_ports = {2000, 2001, 2002, 2003};
-        const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::Welcome);
-        EXPECT_EQ(out.welcome.num_shards, 4u);
-        EXPECT_EQ(out.welcome.rounds, 60u);
-        EXPECT_EQ(out.welcome.udp_ports, in.welcome.udp_ports);
-        EXPECT_EQ(out.welcome.tcp_ports, in.welcome.tcp_ports);
-    }
-    {
-        Frame in;
-        in.type = FrameType::RoundDone;
-        in.round_done =
-            RoundDoneMsg{/*shard_id=*/1, /*round=*/42,
-                         /*local_max_dp=*/0.001953125};
-        const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::RoundDone);
-        EXPECT_EQ(out.round_done.round, 42u);
-        EXPECT_TRUE(
-            sameBits(out.round_done.local_max_dp, 0.001953125));
-    }
-    {
-        Frame in;
-        in.type = FrameType::RoundGo;
-        in.round_go = RoundGoMsg{/*round=*/42,
-                                 /*global_max_dp=*/0.5,
-                                 /*stop=*/1};
-        const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::RoundGo);
-        EXPECT_EQ(out.round_go.stop, 1);
-        EXPECT_TRUE(sameBits(out.round_go.global_max_dp, 0.5));
-    }
-    {
-        Frame in;
-        in.type = FrameType::Result;
-        in.result.shard_id = 2;
-        in.result.bytes_sent = 1 << 20;
-        in.result.frames_sent = 999;
-        in.result.retransmits = 3;
-        in.result.node_ids = {5, 9, 13};
-        in.result.power = {160.0, 170.5, -0.0};
-        in.result.estimate = {1e-12, -1e-12, 0.0};
-        const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::Result);
-        EXPECT_EQ(out.result.node_ids, in.result.node_ids);
-        ASSERT_EQ(out.result.power.size(), 3u);
-        for (std::size_t i = 0; i < 3; ++i) {
-            EXPECT_TRUE(
-                sameBits(out.result.power[i], in.result.power[i]));
-            EXPECT_TRUE(sameBits(out.result.estimate[i],
-                                 in.result.estimate[i]));
+        ASSERT_EQ(out.type, in.type) << name;
+        EXPECT_EQ(out.version, kWireVersion) << name;
+        switch (in.type) {
+        case FrameType::Hello:
+            EXPECT_EQ(out.hello.shard_id, 3u);
+            EXPECT_EQ(out.hello.version, kWireVersion);
+            EXPECT_EQ(out.hello.udp_port, 40123);
+            EXPECT_EQ(out.hello.tcp_port, 40124);
+            break;
+        case FrameType::Welcome:
+            EXPECT_EQ(out.welcome.agreed_version, kWireVersion);
+            EXPECT_EQ(out.welcome.num_shards, 4u);
+            EXPECT_EQ(out.welcome.rounds, 60u);
+            EXPECT_EQ(out.welcome.udp_ports, in.welcome.udp_ports);
+            EXPECT_EQ(out.welcome.tcp_ports, in.welcome.tcp_ports);
+            break;
+        case FrameType::RoundGo:
+            EXPECT_EQ(out.round_go.round, 42u);
+            EXPECT_EQ(out.round_go.stop, 1);
+            EXPECT_TRUE(sameBits(out.round_go.global_max_dp, 0.5));
+            break;
+        case FrameType::Result:
+            EXPECT_EQ(out.result.shard_id, 2u);
+            EXPECT_EQ(out.result.epoch, 4u);
+            EXPECT_EQ(out.result.bytes_sent, 1u << 20);
+            EXPECT_EQ(out.result.frames_sent, 999u);
+            EXPECT_EQ(out.result.retransmits, 3u);
+            EXPECT_EQ(out.result.edges_suppressed, 77u);
+            EXPECT_EQ(out.result.edges_per_frame_hist,
+                      in.result.edges_per_frame_hist);
+            EXPECT_EQ(out.result.node_ids, in.result.node_ids);
+            break;
+        case FrameType::Heartbeat:
+            EXPECT_EQ(out.heartbeat.shard_id, 7u);
+            EXPECT_EQ(out.heartbeat.epoch, 2u);
+            EXPECT_EQ(out.heartbeat.round, 0xabcdefULL);
+            break;
+        default: // data plane and recovery: pinned by their own tests
+            break;
         }
     }
 }
 
-TEST(WireCodecTest, CutBatchRoundTripsExactly)
-{
-    // Pinned to the v3 body layout: the unchanged bitmap and raw
-    // 12-byte records exist only there (v4 suppresses / XOR-codes
-    // them and is exercised by the CutBatchV4* tests below).
-    Frame in;
-    in.version = 3;
-    in.type = FrameType::CutBatch;
-    in.cut_batch.sender = 3;
-    in.cut_batch.round = 0xfedcba9876543210ULL;
-    in.cut_batch.seq = 7;
-    in.cut_batch.reports = {
-        DpReport{/*round=*/41, /*shard_mask=*/0b1011,
-                 /*max_dp=*/0.001953125},
-        DpReport{/*round=*/42, /*shard_mask=*/0b0001,
-                 /*max_dp=*/-0.0},
-    };
-    std::uint64_t nan_bits;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(&nan_bits, &nan, sizeof(nan_bits));
-    in.cut_batch.changed = {
-        {0u, 0x3ff0000000000001ULL},
-        {17u, nan_bits},
-        {0xffffffu, 0x8000000000000000ULL}, // -0.0
-    };
-    in.cut_batch.unchanged = {0xdeadbeefcafef00dULL, 0x1ULL};
-
-    const Frame out = roundTrip(in);
-    ASSERT_EQ(out.type, FrameType::CutBatch);
-    const auto &b = out.cut_batch;
-    EXPECT_EQ(b.sender, 3u);
-    EXPECT_EQ(b.round, in.cut_batch.round);
-    EXPECT_EQ(b.seq, 7u);
-    ASSERT_EQ(b.reports.size(), 2u);
-    for (std::size_t i = 0; i < b.reports.size(); ++i) {
-        EXPECT_EQ(b.reports[i].round,
-                  in.cut_batch.reports[i].round);
-        EXPECT_EQ(b.reports[i].shard_mask,
-                  in.cut_batch.reports[i].shard_mask);
-        EXPECT_TRUE(sameBits(b.reports[i].max_dp,
-                             in.cut_batch.reports[i].max_dp));
-    }
-    EXPECT_EQ(b.changed, in.cut_batch.changed);
-    EXPECT_EQ(b.unchanged, in.cut_batch.unchanged);
-
-    // Empty containers round-trip too (a pure-suppression batch).
-    Frame empty;
-    empty.version = 3;
-    empty.type = FrameType::CutBatch;
-    empty.cut_batch.sender = 0;
-    empty.cut_batch.round = 0;
-    const Frame eout = roundTrip(empty);
-    ASSERT_EQ(eout.type, FrameType::CutBatch);
-    EXPECT_TRUE(eout.cut_batch.reports.empty());
-    EXPECT_TRUE(eout.cut_batch.changed.empty());
-    EXPECT_TRUE(eout.cut_batch.unchanged.empty());
-}
-
 TEST(WireCodecTest, CutBatchCarriesItsEpoch)
 {
-    // The v3 epoch field is the recovery fence: a batch from an
+    // The epoch field is the recovery fence: a batch from an
     // old configuration epoch must arrive tagged so fileBatch can
     // drop it.
     Frame in;
@@ -344,42 +416,21 @@ TEST(WireCodecTest, HeartbeatAndFaultStatsRoundTrip)
 TEST(WireCodecTest, MinFrameSizeAdmitsTheSmallestRealBatch)
 {
     // SocketTransport validates datagram_budget >= kMinFrameSize
-    // at construction; the bound must actually cover an empty
-    // batch plus one changed record or the packer could emit an
-    // unsendable frame.
+    // at construction; the bound must cover a continuation batch
+    // carrying one record of ANY value at ANY position, or the
+    // packer could emit an unsendable frame.
     Frame f;
     f.type = FrameType::CutBatch;
+    f.cut_batch.seq = 1;
+    f.cut_batch.changed = {{0xffffffffu, ~0ULL}};
     std::vector<std::uint8_t> buf;
     encodeFrame(f, buf);
-    EXPECT_LE(buf.size() + 12, kMinFrameSize);
-    EXPECT_EQ(cutBatchFrameSize(0, 1, 0), kMinFrameSize);
-}
+    EXPECT_EQ(buf.size(), kMinFrameSize);
 
-TEST(WireCodecTest, CutBatchFrameSizeMatchesEncoder)
-{
-    // cutBatchFrameSize is the v3 batch packer's budget
-    // arithmetic; a drift between it and the encoder would make
-    // the packer over- or under-fill datagrams.  (The v4 packer
-    // accounts varints per item off kCutBatchV4Fixed instead.)
-    const std::size_t shapes[][3] = {
-        {0, 0, 0}, {1, 0, 0},  {0, 1, 0},  {0, 0, 1},
-        {8, 3, 2}, {2, 40, 7}, {8, 116, 0},
-    };
-    for (const auto &s : shapes) {
-        Frame f;
-        f.version = 3;
-        f.type = FrameType::CutBatch;
-        f.cut_batch.reports.resize(s[0]);
-        for (std::size_t i = 0; i < s[1]; ++i)
-            f.cut_batch.changed.emplace_back(
-                static_cast<std::uint32_t>(i), i * 0x9e3779b9ULL);
-        f.cut_batch.unchanged.resize(s[2], ~0ull);
-        std::vector<std::uint8_t> buf;
-        encodeFrame(f, buf);
-        EXPECT_EQ(buf.size(), cutBatchFrameSize(s[0], s[1], s[2]))
-            << s[0] << " reports, " << s[1] << " changed, "
-            << s[2] << " bitmap words";
-    }
+    f.cut_batch.changed = {{0u, 0ULL}};
+    buf.clear();
+    encodeFrame(f, buf);
+    EXPECT_LT(buf.size(), kMinFrameSize);
 }
 
 TEST(WireCodecTest, CutBatchV4RoundTripsEveryHotMode)
@@ -431,7 +482,6 @@ TEST(WireCodecTest, CutBatchV4RoundTripsEveryHotMode)
         ASSERT_EQ(b.reports.size(), 1u);
         EXPECT_EQ(b.reports[0].round, 41u);
         EXPECT_TRUE(sameBits(b.reports[0].max_dp, 0.001953125));
-        EXPECT_TRUE(b.unchanged.empty()); // v3-only field
     }
 
     // seq > 0: no hot bitmap, no total_changed on the wire.
@@ -593,20 +643,23 @@ TEST(WireCodecTest, ResultSparsityCountersRideV4Only)
     in.result.delta_frames = 222;
     in.result.wake_messages = 333;
 
-    // v4 (default): the counters round-trip.
+    // The counters round-trip.
     const Frame out = roundTrip(in);
     EXPECT_EQ(out.result.suppressed_frames, 111u);
     EXPECT_EQ(out.result.delta_frames, 222u);
     EXPECT_EQ(out.result.wake_messages, 333u);
 
-    // v3: not on the wire, decoded as zero.
+    // The v3 Result layout (no counters) is gone: a frame stamped
+    // v3 is refused rather than misread as the v4 layout.
     Frame legacy = in;
     legacy.version = 3;
-    const Frame lout = roundTrip(legacy);
+    std::vector<std::uint8_t> buf;
+    encodeFrame(legacy, buf);
+    Frame lout;
+    std::size_t consumed = 0;
+    EXPECT_EQ(decodeFrame(buf.data(), buf.size(), lout, consumed),
+              DecodeStatus::Bad);
     EXPECT_EQ(lout.version, 3u);
-    EXPECT_EQ(lout.result.suppressed_frames, 0u);
-    EXPECT_EQ(lout.result.delta_frames, 0u);
-    EXPECT_EQ(lout.result.wake_messages, 0u);
 }
 
 TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
@@ -615,7 +668,6 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
     in.type = FrameType::CutBatch;
     in.cut_batch.reports.resize(3);
     in.cut_batch.changed = {{1u, 2ull}, {3u, 4ull}};
-    in.cut_batch.unchanged = {5ull};
     std::vector<std::uint8_t> buf;
     encodeFrame(in, buf);
 
@@ -630,9 +682,8 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
 
     // Internally inconsistent counts must be Bad, not a crash: a
     // payload_len too small for the declared record counts.
-    // Fixed part of a CutBatch (v3 and v4 agree up to here):
-    // sender u32 | epoch u32 | round u64 | seq u32, then
-    // n_reports.
+    // Fixed part of a CutBatch: sender u32 | epoch u32 |
+    // round u64 | seq u32, then n_reports.
     std::vector<std::uint8_t> bad = buf;
     bad[kWireHeaderSize + 4 + 4 + 8 + 4] = 9; // n_reports: 3 -> 9
     EXPECT_EQ(decodeFrame(bad.data(), bad.size(), out, consumed),
@@ -641,21 +692,60 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
 
 TEST(WireCodecTest, TruncatedFramesAskForMore)
 {
-    Frame in;
-    in.type = FrameType::PairTransfer;
-    in.pair_transfer.pair = EdgePair{1, 2, 3, 4, 5.0, -5.0};
-    std::vector<std::uint8_t> buf;
-    encodeFrame(in, buf);
+    // Every proper prefix of every frame type must report NeedMore,
+    // never Ok or Bad: a TCP reassembly loop depends on it.
+    for (const auto &[name, in] : sampleFrames()) {
+        std::vector<std::uint8_t> buf;
+        encodeFrame(in, buf);
+        Frame out;
+        std::size_t consumed = 0;
+        for (std::size_t len = 0; len < buf.size(); ++len) {
+            EXPECT_EQ(decodeFrame(buf.data(), len, out, consumed),
+                      DecodeStatus::NeedMore)
+                << name << " prefix length " << len;
+            EXPECT_EQ(consumed, 0u);
+        }
+        EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
+                  DecodeStatus::Ok)
+            << name;
+    }
+}
 
-    // Every proper prefix must report NeedMore, never Ok or Bad:
-    // a TCP reassembly loop depends on it.
-    Frame out;
-    std::size_t consumed = 0;
-    for (std::size_t len = 0; len < buf.size(); ++len) {
-        EXPECT_EQ(decodeFrame(buf.data(), len, out, consumed),
-                  DecodeStatus::NeedMore)
-            << "prefix length " << len;
-        EXPECT_EQ(consumed, 0u);
+TEST(WireCodecTest, EveryByteFlipDecodesOkOrBad)
+{
+    // A corrupted byte anywhere in any frame must decode to Ok or
+    // Bad -- never crash, over-read or over-allocate (the ASan and
+    // UBSan ctest runs execute this).  The one legitimate third
+    // answer: a flip that GROWS payload_len past the buffer is a
+    // valid prefix of a longer frame, so NeedMore.
+    const std::uint8_t masks[] = {0x01, 0x10, 0x80, 0xff};
+    for (const auto &[name, in] : sampleFrames()) {
+        std::vector<std::uint8_t> buf;
+        encodeFrame(in, buf);
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+            for (const std::uint8_t mask : masks) {
+                std::vector<std::uint8_t> bad = buf;
+                bad[i] ^= mask;
+                Frame out;
+                std::size_t consumed = 0;
+                const DecodeStatus st = decodeFrame(
+                    bad.data(), bad.size(), out, consumed);
+                if (st == DecodeStatus::Ok) {
+                    EXPECT_EQ(consumed, bad.size())
+                        << name << " byte " << i;
+                    continue;
+                }
+                EXPECT_EQ(consumed, 0u) << name << " byte " << i;
+                if (st == DecodeStatus::NeedMore) {
+                    std::uint32_t plen = 0;
+                    std::memcpy(&plen, bad.data() + 8, sizeof(plen));
+                    EXPECT_TRUE(i >= 8 && i < kWireHeaderSize &&
+                                kWireHeaderSize + plen > bad.size())
+                        << name << " byte " << i << " mask "
+                        << int{mask};
+                }
+            }
+        }
     }
 }
 
@@ -681,6 +771,18 @@ TEST(WireCodecTest, GarbageIsRejectedNotBuffered)
     buf[7] = 0x7f;
     EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
               DecodeStatus::Bad);
+
+    // The retired tags (3: per-pair transfer, 4: per-round barrier
+    // report) stay reserved and decode Bad.
+    for (const std::uint8_t tag : {3, 4}) {
+        buf.clear();
+        encodeFrame(in, buf);
+        buf[6] = tag;
+        buf[7] = 0;
+        EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
+                  DecodeStatus::Bad)
+            << "type tag " << int{tag};
+    }
 
     // Valid header, payload length absurd.
     buf.clear();
@@ -712,6 +814,7 @@ TEST(WireCodecTest, GarbageIsRejectedNotBuffered)
 TEST(WireCodecTest, VersionNegotiation)
 {
     std::uint16_t agreed = 0;
+    EXPECT_EQ(kWireMinVersion, kWireVersion);
 
     // Same version: trivially agreed.
     EXPECT_TRUE(
@@ -723,26 +826,25 @@ TEST(WireCodecTest, VersionNegotiation)
                                  agreed));
     EXPECT_EQ(agreed, kWireVersion);
 
-    // A peer below our floor: refused.
-    if (kWireMinVersion > 0) {
-        EXPECT_FALSE(negotiateVersion(
-            kWireVersion,
-            static_cast<std::uint16_t>(kWireMinVersion - 1),
-            agreed));
-    }
+    // A v3 peer (dense bitmap CutBatch, counter-less Result) is
+    // below the floor: refused in either direction.
+    EXPECT_FALSE(negotiateVersion(kWireVersion, 3, agreed));
+    EXPECT_FALSE(negotiateVersion(3, kWireVersion, agreed));
 
-    // Frames stamped with a version below the floor are Bad at
-    // decode time too.
+    // Its Hello is refused at decode time too, and the decoder
+    // reports the version it saw so the broker can name it.
     Frame in;
-    in.type = FrameType::RoundGo;
+    in.type = FrameType::Hello;
+    in.version = 3;
+    in.hello.version = 3;
     std::vector<std::uint8_t> buf;
     encodeFrame(in, buf);
-    buf[4] = static_cast<std::uint8_t>(kWireMinVersion - 1);
-    buf[5] = 0;
     Frame out;
     std::size_t consumed = 0;
     EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
               DecodeStatus::Bad);
+    EXPECT_EQ(out.version, 3u);
+    EXPECT_EQ(consumed, 0u);
 }
 
 TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
@@ -750,8 +852,8 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
     // Two frames appended to one buffer (the TCP case): decode
     // must consume exactly one frame at a time.
     Frame a, b;
-    a.type = FrameType::RoundDone;
-    a.round_done.round = 7;
+    a.type = FrameType::Heartbeat;
+    a.heartbeat.round = 7;
     b.type = FrameType::RoundGo;
     b.round_go.round = 7;
     std::vector<std::uint8_t> buf;
@@ -764,7 +866,7 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
     ASSERT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
               DecodeStatus::Ok);
     EXPECT_EQ(consumed, first);
-    EXPECT_EQ(out.type, FrameType::RoundDone);
+    EXPECT_EQ(out.type, FrameType::Heartbeat);
     ASSERT_EQ(decodeFrame(buf.data() + consumed,
                           buf.size() - consumed, out, consumed),
               DecodeStatus::Ok);

@@ -26,7 +26,8 @@
  *       verify the reassembled caps bitwise against an in-process
  *       run -- the multi-host deployment path in miniature.
  *       --stats 1 prints the wire accounting (frames/bytes both
- *       directions, retransmits, dedup hits, suppressed halves,
+ *       directions, retransmits, dedup hits, held halves
+ *       (edges_suppressed: unchanged, so nothing shipped),
  *       suppressed/delta frames and wake notifications of the
  *       sparse steady-state path, edges-per-frame histogram) and
  *       the per-phase round breakdown; --depth D enables
