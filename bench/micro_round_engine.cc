@@ -13,8 +13,10 @@
  *              per hardware thread.
  *
  * plus steady-state rounds (dense vs. active-set frontier), the
- * emergency shed inside a budget drop, the batched replica engine,
- * and the primal-dual best-response sweep reusing the same pool.
+ * emergency shed inside a budget drop, the dense diffusion gather
+ * alone (CSR body vs. the dispatched SELL twin), the batched
+ * replica engine, and the primal-dual best-response sweep reusing
+ * the same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
  * the same computation.  Problems come from the shared cache so
@@ -24,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
 
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
@@ -177,6 +180,56 @@ BM_SetBudgetShed(benchmark::State &state)
 }
 
 /**
+ * The round's diffusion half alone: one dense Metropolis gather over
+ * all n nodes, through the CSR body (body 0) or the dispatched SELL
+ * twin (body 1), on a ring (topology 0), the chordal ring the
+ * time-to-cap bench runs (1) or a star (2, one hub spilled past its
+ * slice width).  Weights are DiBA's Metropolis weights; the label
+ * carries the SELL cells per CSR slot.
+ */
+void
+BM_DenseGather(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Rng rng(kSeed);
+    const char *topo_name[] = {"ring", "chordal", "star"};
+    const Graph topo = state.range(1) == 0   ? makeRing(n)
+                       : state.range(1) == 1 ? makeChordalRing(n, n / 4, rng)
+                                             : makeStar(n);
+    const GraphCsr &g = topo.csr();
+    std::vector<double> w(g.neighbors.size());
+    for (std::size_t v = 0; v < n; ++v)
+        for (std::uint32_t k = g.offsets[v]; k < g.offsets[v + 1]; ++k)
+            w[k] = 1.0 / (1.0 + static_cast<double>(std::max(
+                                    g.degree(v),
+                                    g.degree(g.neighbors[k]))));
+    const SellOverlay sell(g, w.data());
+    std::vector<double> snap(n), e(n);
+    for (double &x : snap)
+        x = -30.0 * rng.uniform();
+    const bool csr = state.range(2) == 0;
+    for (auto _ : state) {
+        if (csr)
+            gatherDenseScalar(g, w.data(), sell, snap.data(), e.data(),
+                              0.0, 0, n);
+        else
+            gatherDense(g, w.data(), sell, snap.data(), e.data(), 0.0,
+                        0, n);
+        benchmark::DoNotOptimize(e.data());
+        benchmark::ClobberMemory();
+    }
+    const double ratio = static_cast<double>(sell.cells()) /
+                         static_cast<double>(g.neighbors.size());
+    state.SetLabel(std::string(topo_name[state.range(1)]) +
+                   (csr ? " csr" : " sell") +
+                   " cells/slots=" + std::to_string(ratio).substr(0, 4));
+    state.counters["node_ns"] = benchmark::Counter(
+        static_cast<double>(n),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+/**
  * Batched replicas vs. one-at-a-time: R lockstep lanes through
  * ReplicaBatch, timed per round; node_ns is normalized per LANE
  * per node, so it is directly comparable to BM_RoundSoa (one lane
@@ -244,6 +297,8 @@ BENCHMARK(BM_SetBudgetShed)
     ->Arg(1000)
     ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DenseGather)
+    ->ArgsProduct({{1000, 6400, 25600}, {0, 1, 2}, {0, 1}});
 BENCHMARK(BM_ReplicaBatchRound)
     ->Args({1600, 1})
     ->Args({1600, 8})

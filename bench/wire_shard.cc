@@ -26,7 +26,14 @@
  * coalescing regressed or the cut got worse), rounds_per_sec (the
  * timing; gated at the perf threshold), cut_edges / cut_frac (plan
  * quality under the layout permutation), retransmits / duplicates
- * (loopback UDP under zero loss should never need either),
+ * (zero-loss loopback UDP can still need both: the retransmit timer
+ * resends a round's batches whenever a peer's batches are late, as
+ * when a peer is descheduled on a busy host, and without
+ * CAP_NET_ADMIN the kernel clamps the 8 MiB buffer request to
+ * net.core.rmem_max / wmem_max, so a cut-edge burst at large n can
+ * overrun the receive buffer), rcvbuf_bytes / sndbuf_bytes (the
+ * effective UDP buffers, read back with getsockopt, smallest shard;
+ * informational: they tell a clamped buffer from a late peer),
  * edges_suppressed (held quiesced halves: unchanged since the
  * last transmission, so nothing shipped) and the
  * per-phase round breakdown (send / interior compute / drain /
@@ -283,7 +290,11 @@ runSteadySection(const std::vector<std::size_t> &sizes, bool smoke,
             .field("cut_edges",
                    static_cast<long long>(runB.plan.cut_edges))
             .field("retransmits",
-                   static_cast<long long>(runB.retransmits));
+                   static_cast<long long>(runB.retransmits))
+            .field("rcvbuf_bytes",
+                   static_cast<long long>(runB.rcvbuf_bytes))
+            .field("sndbuf_bytes",
+                   static_cast<long long>(runB.sndbuf_bytes));
     }
     return failures;
 }
@@ -441,6 +452,10 @@ main()
                 .field("cut_frac", run.plan.cutFraction())
                 .field("retransmits",
                        static_cast<long long>(run.retransmits))
+                .field("rcvbuf_bytes",
+                       static_cast<long long>(run.rcvbuf_bytes))
+                .field("sndbuf_bytes",
+                       static_cast<long long>(run.sndbuf_bytes))
                 .field("retrans_bytes",
                        static_cast<long long>(run.retrans_bytes))
                 .field("duplicates",

@@ -49,49 +49,6 @@ edgeKey(std::size_t u, std::size_t v)
  * L1-resident between its diffusion gather and its local steps. */
 constexpr std::size_t kDenseBlock = 512;
 
-/**
- * Dense Metropolis gather over nodes [b0, b1) with every node active
- * and every link live, so no participation checks: e[i] becomes
- * snap[i] plus the weighted gaps to its neighbours' snapshots.  With
- * a positive deadband, a transfer inside the relative gap gate is
- * suppressed.  The IEEE operation sequence is diffuseRange's on an
- * unmasked overlay, so either gather yields the same bits.
- */
-inline void
-gatherDense(const GraphCsr &g, const double *DPC_RESTRICT w,
-            const double *DPC_RESTRICT snap, double *DPC_RESTRICT e,
-            double deadband, std::size_t b0, std::size_t b1)
-{
-    const std::uint32_t *DPC_RESTRICT offs = g.offsets.data();
-    const std::uint32_t *DPC_RESTRICT nbr = g.neighbors.data();
-    if (deadband > 0.0) {
-        for (std::size_t i = b0; i < b1; ++i) {
-            const double ei = snap[i];
-            double acc = 0.0;
-            const std::uint32_t khi = offs[i + 1];
-            for (std::uint32_t k = offs[i]; k < khi; ++k) {
-                const double ej = snap[nbr[k]];
-                const double gap = ej - ei;
-                const double gate =
-                    deadband * std::max(std::fabs(ei), std::fabs(ej));
-                if (std::fabs(gap) <= gate)
-                    continue;
-                acc += w[k] * gap;
-            }
-            e[i] = ei + acc;
-        }
-    } else {
-        for (std::size_t i = b0; i < b1; ++i) {
-            const double ei = snap[i];
-            double acc = 0.0;
-            const std::uint32_t khi = offs[i + 1];
-            for (std::uint32_t k = offs[i]; k < khi; ++k)
-                acc += w[k] * (snap[nbr[k]] - ei);
-            e[i] = ei + acc;
-        }
-    }
-}
-
 // The shed's two per-node selects, max(0, .) of the shed amount and
 // of the excess, are spelled with SSE2 min/max where available: GCC
 // otherwise branches on the sign, and mid-shed about 40% of the
@@ -199,6 +156,7 @@ DibaAllocator::DibaAllocator(Graph topology, Config cfg)
                                      g.degree(v), g.degree(j))));
         }
     }
+    sell_ = SellOverlay(g, w_.data());
     if (cfg_.num_threads >= 1)
         pool_ = ThreadPool::acquire(cfg_.num_threads);
     DPC_ASSERT(topo_.numVertices() >= 2,
@@ -721,11 +679,11 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     // Fused diffuse + step + anneal with no participation checks:
     // the all-active, all-quadratic configuration every large-scale
     // experiment runs in.  Runs block-wise in two passes: pass 1
-    // gathers the CSR diffusion into e_ (gatherDense: irregular,
-    // stays scalar), pass 2 hands the block's seven contiguous
-    // streams to stepBlockQuad, which runs the widest SIMD twin the
+    // gathers the diffusion into e_ (gatherDense over the SELL copy
+    // of the overlay), pass 2 hands the block's seven contiguous
+    // streams to stepBlockQuad.  Both run the widest SIMD twin the
     // CPU supports (cpuid-dispatched, bitwise equal to the scalar
-    // body).  Per-node arithmetic is unchanged -- e_now round-trips
+    // bodies).  Per-node arithmetic is unchanged -- e_now round-trips
     // through e_[i] instead of a register, which is exact -- so the
     // restructuring is bitwise invisible.  Blocks are L1-resident so
     // pass 2 rereads warm lines; raw restrict pointers keep the
@@ -742,8 +700,8 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     double max_dp = 0.0;
     for (std::size_t b0 = begin; b0 < end; b0 += kDenseBlock) {
         const std::size_t b1 = std::min(end, b0 + kDenseBlock);
-        gatherDense(g, w_.data(), e_snapshot_.data(), e, cfg_.deadband,
-                    b0, b1);
+        gatherDense(g, w_.data(), sell_, e_snapshot_.data(), e,
+                    cfg_.deadband, b0, b1);
         max_dp = std::max(
             max_dp,
             stepBlockQuad(b1 - b0, p + b0, e + b0, eta + b0,
@@ -942,8 +900,8 @@ DibaAllocator::shedRange(std::size_t begin, std::size_t end,
     for (std::size_t b0 = begin; b0 < end; b0 += kDenseBlock) {
         const std::size_t b1 = std::min(end, b0 + kDenseBlock);
         if (diffuse && dense)
-            gatherDense(g, w_.data(), e_snapshot_.data(), e_.data(),
-                        cfg_.deadband, b0, b1);
+            gatherDense(g, w_.data(), sell_, e_snapshot_.data(),
+                        e_.data(), cfg_.deadband, b0, b1);
         else if (diffuse)
             diffuseRange(b0, b1);
         if (dense && quad_fast_) {

@@ -1158,6 +1158,9 @@ class DibaAllocator : public IterativeAllocator
      * diffusion gathers do no divisions on the hot path.
      */
     std::vector<double> w_;
+    /** SELL-8 copy of the CSR overlay and w_ for the dense gather
+     * twins (round_kernel.hh); built with w_, never changes. */
+    SellOverlay sell_;
     /** Quadratic SoA mirror of u_: entry i is current whenever u_[i]
      * is quadratic and the fast path is enabled. */
     std::vector<double> qb_, qc_, qmin_, qmax_;

@@ -1,7 +1,8 @@
 /**
  * @file
- * The SIMD twins of the block round kernel and the cpuid dispatch
- * behind stepBlockQuad (round_kernel.hh).
+ * The SIMD twins of the block round kernel and of the dense gather,
+ * the SELL overlay build, and the cpuid dispatch behind
+ * stepBlockQuad and gatherDense (round_kernel.hh).
  *
  * Each twin is compiled for its own ISA with a target attribute, so
  * the library as a whole stays baseline x86-64 and the widest body
@@ -13,7 +14,9 @@
  * runs is the inline scalar body itself.  AVX-512F brings EVEX FMA
  * with it, so this file (with the rest of dpc_alloc) is compiled
  * with -ffp-contract=off: a contracted a*b+c in either the vector
- * body or the inlined scalar tail would break the pin.
+ * body or the inlined scalar tail would break the pin.  The gather
+ * twins keep the CSR body's per-row order: one column after the
+ * other, then the row's spilled tail, then e = snap + acc.
  */
 
 #include "alloc/round_kernel.hh"
@@ -23,6 +26,149 @@
 #endif
 
 namespace dpc {
+
+namespace {
+
+/**
+ * Width of the slice starting at row i0: its second-largest degree,
+ * so a single long row spills instead of widening all eight (a
+ * column costs about what one spilled cell adds to its row's chain,
+ * and a column serving one row wastes seven lanes), narrowed until
+ * the cells (kSlice per column, plus each row's columns past the
+ * width) stay within twice the slice's CSR slots.  Cells never
+ * shrink as the width grows, and width = min degree costs exactly
+ * the CSR slots, so the search always ends.
+ */
+std::size_t
+sliceWidth(const GraphCsr &g, std::size_t i0)
+{
+    constexpr std::size_t S = SellOverlay::kSlice;
+    std::size_t slots = 0, top = 0, second = 0;
+    for (std::size_t r = 0; r < S; ++r) {
+        const std::size_t d = g.degree(i0 + r);
+        slots += d;
+        second = std::max(second, std::min(top, d));
+        top = std::max(top, d);
+    }
+    for (std::size_t width = second;; --width) {
+        std::size_t cells = S * width;
+        for (std::size_t r = 0; r < S; ++r)
+            cells += g.degree(i0 + r) -
+                     std::min<std::size_t>(width, g.degree(i0 + r));
+        if (cells <= 2 * slots || width == 0)
+            return width;
+    }
+}
+
+/**
+ * Slice s's spilled tail: continues row r's accumulator lanes[r]
+ * with its CSR columns past the slice width, in CSR order, with the
+ * CSR body's arithmetic.  Each row's run accumulates in a register,
+ * so a hub's long chain does not round-trip through lanes[].
+ */
+inline void
+spillSlice(const SellOverlay &sell, std::size_t s,
+           const double *DPC_RESTRICT snap, double *lanes,
+           double deadband)
+{
+    const std::size_t i0 = s * SellOverlay::kSlice;
+    const std::uint32_t qend = sell.spill_off[s + 1];
+    for (std::uint32_t q = sell.spill_off[s]; q < qend;) {
+        const std::uint32_t r = sell.spill_row[q];
+        const double ei = snap[i0 + r];
+        double acc = lanes[r];
+        for (; q < qend && sell.spill_row[q] == r; ++q) {
+            const double ej = snap[sell.spill_col[q]];
+            const double gap = ej - ei;
+            if (deadband > 0.0) {
+                const double gate =
+                    deadband * std::max(std::fabs(ei), std::fabs(ej));
+                if (std::fabs(gap) <= gate)
+                    continue;
+            }
+            acc += sell.spill_w[q] * gap;
+        }
+        lanes[r] = acc;
+    }
+}
+
+/** A twin's loop over full slices [s0, s1). */
+using SliceBody = void (*)(const SellOverlay &, const double *, double *,
+                           double, std::size_t, std::size_t);
+
+/**
+ * Rows [b0, b1): the full slices inside through `slices`, the rows
+ * outside them (a chunk edge off a multiple of kSlice, the last
+ * n % kSlice rows) through the CSR body.
+ */
+inline void
+gatherBySlices(SliceBody slices, const GraphCsr &g,
+               const double *DPC_RESTRICT w, const SellOverlay &sell,
+               const double *DPC_RESTRICT snap, double *DPC_RESTRICT e,
+               double deadband, std::size_t b0, std::size_t b1)
+{
+    constexpr std::size_t S = SellOverlay::kSlice;
+    const std::size_t s0 = (b0 + S - 1) / S;
+    const std::size_t s1 = std::min(b1 / S, sell.numSlices());
+    if (s0 >= s1) {
+        gatherDenseScalar(g, w, sell, snap, e, deadband, b0, b1);
+        return;
+    }
+    gatherDenseScalar(g, w, sell, snap, e, deadband, b0, s0 * S);
+    slices(sell, snap, e, deadband, s0, s1);
+    gatherDenseScalar(g, w, sell, snap, e, deadband, s1 * S, b1);
+}
+
+} // namespace
+
+SellOverlay::SellOverlay(const GraphCsr &g, const double *wts)
+{
+    constexpr std::size_t S = kSlice;
+    const std::size_t n = g.offsets.empty() ? 0 : g.offsets.size() - 1;
+    const std::size_t slices = n / S;
+    // Sizes first, so every array is allocated once.
+    slice_off.assign(slices + 1, 0);
+    spill_off.assign(slices + 1, 0);
+    for (std::size_t s = 0; s < slices; ++s) {
+        const std::size_t width = sliceWidth(g, s * S);
+        std::size_t spilled = 0;
+        for (std::size_t i = s * S; i < (s + 1) * S; ++i)
+            spilled += g.degree(i) - std::min<std::size_t>(width,
+                                                           g.degree(i));
+        slice_off[s + 1] =
+            slice_off[s] + static_cast<std::uint32_t>(S * width);
+        spill_off[s + 1] =
+            spill_off[s] + static_cast<std::uint32_t>(spilled);
+    }
+    col.resize(slice_off.back());
+    w.assign(slice_off.back(), 0.0);
+    spill_row.resize(spill_off.back());
+    spill_col.resize(spill_off.back());
+    spill_w.resize(spill_off.back());
+    for (std::size_t s = 0; s < slices; ++s) {
+        const std::size_t width = (slice_off[s + 1] - slice_off[s]) / S;
+        std::uint32_t q = spill_off[s];
+        for (std::size_t r = 0; r < S; ++r) {
+            const std::size_t i = s * S + r;
+            const std::uint32_t k0 = g.offsets[i];
+            const std::size_t deg = g.degree(i);
+            for (std::size_t k = 0; k < width; ++k) {
+                const std::size_t cell = slice_off[s] + k * S + r;
+                if (k < deg) {
+                    col[cell] = g.neighbors[k0 + k];
+                    w[cell] = wts[k0 + k];
+                } else {
+                    col[cell] = static_cast<std::uint32_t>(i);
+                }
+            }
+            for (std::size_t k = width; k < deg; ++k, ++q) {
+                spill_row[q] = static_cast<std::uint32_t>(r);
+                spill_col[q] = g.neighbors[k0 + k];
+                spill_w[q] = wts[k0 + k];
+            }
+        }
+    }
+}
 
 #if DPC_ROUND_KERNEL_X86
 
@@ -260,15 +406,174 @@ stepBlockQuadAvx512(std::size_t m, double *DPC_RESTRICT p,
 #pragma GCC diagnostic pop
 #endif
 
+// GCC 12 reports false-positive -Wmaybe-uninitialized warnings from
+// _mm256_i32gather_pd and _mm512_i32gather_pd (the undefined
+// passthrough operand of their intrinsic wrappers); confine the
+// suppression to the two gather twins.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/**
+ * AVX2 slices [s0, s1): each slice as two 4-row halves, one gather
+ * per half per column.  The deadband variant blends the add in
+ * where |gap| > gate (NLE_UQ is the CSR body's !(|gap| <= gate)).
+ */
+template <bool kGated>
+__attribute__((target("avx2"))) void
+gatherSlicesAvx2(const SellOverlay &sell, const double *DPC_RESTRICT snap,
+                 double *DPC_RESTRICT e, double deadband,
+                 std::size_t s0, std::size_t s1)
+{
+    constexpr std::size_t S = SellOverlay::kSlice;
+    const std::uint32_t *DPC_RESTRICT col = sell.col.data();
+    const double *DPC_RESTRICT wts = sell.w.data();
+    const __m256d vdb = _mm256_set1_pd(deadband);
+    const __m256d vabsmask =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+    for (std::size_t s = s0; s < s1; ++s) {
+        const std::size_t i0 = s * S;
+        const __m256d ei_lo = _mm256_loadu_pd(snap + i0);
+        const __m256d ei_hi = _mm256_loadu_pd(snap + i0 + 4);
+        __m256d acc_lo = _mm256_setzero_pd();
+        __m256d acc_hi = _mm256_setzero_pd();
+        const std::uint32_t cend = sell.slice_off[s + 1];
+        for (std::uint32_t c = sell.slice_off[s]; c < cend; c += S) {
+            const __m128i idx_lo = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(col + c));
+            const __m128i idx_hi = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(col + c + 4));
+            const __m256d ej_lo = _mm256_i32gather_pd(snap, idx_lo, 8);
+            const __m256d ej_hi = _mm256_i32gather_pd(snap, idx_hi, 8);
+            const __m256d gap_lo = _mm256_sub_pd(ej_lo, ei_lo);
+            const __m256d gap_hi = _mm256_sub_pd(ej_hi, ei_hi);
+            const __m256d t_lo =
+                _mm256_mul_pd(_mm256_loadu_pd(wts + c), gap_lo);
+            const __m256d t_hi =
+                _mm256_mul_pd(_mm256_loadu_pd(wts + c + 4), gap_hi);
+            if constexpr (kGated) {
+                // std::max(a, b) is b > a ? b : a, i.e. maxpd(b, a).
+                const __m256d gate_lo = _mm256_mul_pd(
+                    vdb, _mm256_max_pd(_mm256_and_pd(ej_lo, vabsmask),
+                                       _mm256_and_pd(ei_lo, vabsmask)));
+                const __m256d gate_hi = _mm256_mul_pd(
+                    vdb, _mm256_max_pd(_mm256_and_pd(ej_hi, vabsmask),
+                                       _mm256_and_pd(ei_hi, vabsmask)));
+                const __m256d out_lo =
+                    _mm256_cmp_pd(_mm256_and_pd(gap_lo, vabsmask),
+                                  gate_lo, _CMP_NLE_UQ);
+                const __m256d out_hi =
+                    _mm256_cmp_pd(_mm256_and_pd(gap_hi, vabsmask),
+                                  gate_hi, _CMP_NLE_UQ);
+                acc_lo = _mm256_blendv_pd(
+                    acc_lo, _mm256_add_pd(acc_lo, t_lo), out_lo);
+                acc_hi = _mm256_blendv_pd(
+                    acc_hi, _mm256_add_pd(acc_hi, t_hi), out_hi);
+            } else {
+                acc_lo = _mm256_add_pd(acc_lo, t_lo);
+                acc_hi = _mm256_add_pd(acc_hi, t_hi);
+            }
+        }
+        if (sell.spill_off[s] != sell.spill_off[s + 1]) {
+            alignas(32) double lanes[S];
+            _mm256_store_pd(lanes, acc_lo);
+            _mm256_store_pd(lanes + 4, acc_hi);
+            spillSlice(sell, s, snap, lanes, deadband);
+            acc_lo = _mm256_load_pd(lanes);
+            acc_hi = _mm256_load_pd(lanes + 4);
+        }
+        _mm256_storeu_pd(e + i0, _mm256_add_pd(ei_lo, acc_lo));
+        _mm256_storeu_pd(e + i0 + 4, _mm256_add_pd(ei_hi, acc_hi));
+    }
+}
+
+void
+gatherDenseAvx2(const GraphCsr &g, const double *DPC_RESTRICT w,
+                const SellOverlay &sell, const double *DPC_RESTRICT snap,
+                double *DPC_RESTRICT e, double deadband, std::size_t b0,
+                std::size_t b1)
+{
+    gatherBySlices(deadband > 0.0 ? gatherSlicesAvx2<true>
+                                  : gatherSlicesAvx2<false>,
+                   g, w, sell, snap, e, deadband, b0, b1);
+}
+
+/**
+ * AVX-512F slices [s0, s1): one 8-wide gather per column.  The
+ * deadband variant masks the add to the lanes with |gap| > gate.
+ */
+template <bool kGated>
+__attribute__((target("avx512f"))) void
+gatherSlicesAvx512(const SellOverlay &sell,
+                   const double *DPC_RESTRICT snap,
+                   double *DPC_RESTRICT e, double deadband,
+                   std::size_t s0, std::size_t s1)
+{
+    constexpr std::size_t S = SellOverlay::kSlice;
+    const std::uint32_t *DPC_RESTRICT col = sell.col.data();
+    const double *DPC_RESTRICT wts = sell.w.data();
+    const __m512d vdb = _mm512_set1_pd(deadband);
+    for (std::size_t s = s0; s < s1; ++s) {
+        const std::size_t i0 = s * S;
+        const __m512d ei = _mm512_loadu_pd(snap + i0);
+        __m512d acc = _mm512_setzero_pd();
+        const std::uint32_t cend = sell.slice_off[s + 1];
+        for (std::uint32_t c = sell.slice_off[s]; c < cend; c += S) {
+            const __m256i idx = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(col + c));
+            const __m512d ej = _mm512_i32gather_pd(idx, snap, 8);
+            const __m512d gap = _mm512_sub_pd(ej, ei);
+            const __m512d t = _mm512_mul_pd(_mm512_loadu_pd(wts + c), gap);
+            if constexpr (kGated) {
+                // std::max(a, b) is b > a ? b : a, i.e. maxpd(b, a).
+                const __m512d gate = _mm512_mul_pd(
+                    vdb, _mm512_max_pd(_mm512_abs_pd(ej),
+                                       _mm512_abs_pd(ei)));
+                const __mmask8 out = _mm512_cmp_pd_mask(
+                    _mm512_abs_pd(gap), gate, _CMP_NLE_UQ);
+                acc = _mm512_mask_add_pd(acc, out, acc, t);
+            } else {
+                acc = _mm512_add_pd(acc, t);
+            }
+        }
+        if (sell.spill_off[s] != sell.spill_off[s + 1]) {
+            alignas(64) double lanes[S];
+            _mm512_store_pd(lanes, acc);
+            spillSlice(sell, s, snap, lanes, deadband);
+            acc = _mm512_load_pd(lanes);
+        }
+        _mm512_storeu_pd(e + i0, _mm512_add_pd(ei, acc));
+    }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+void
+gatherDenseAvx512(const GraphCsr &g, const double *DPC_RESTRICT w,
+                  const SellOverlay &sell,
+                  const double *DPC_RESTRICT snap,
+                  double *DPC_RESTRICT e, double deadband,
+                  std::size_t b0, std::size_t b1)
+{
+    gatherBySlices(deadband > 0.0 ? gatherSlicesAvx512<true>
+                                  : gatherSlicesAvx512<false>,
+                   g, w, sell, snap, e, deadband, b0, b1);
+}
+
 #endif // DPC_ROUND_KERNEL_X86
 
 namespace {
 
 using BlockKernel = decltype(&stepBlockQuadScalar);
+using GatherKernel = decltype(&gatherDenseScalar);
 
 struct KernelChoice
 {
     BlockKernel fn;
+    GatherKernel gather;
     const char *name;
 };
 
@@ -278,11 +583,11 @@ detectKernel()
 #if DPC_ROUND_KERNEL_X86
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f"))
-        return {stepBlockQuadAvx512, "avx512f"};
+        return {stepBlockQuadAvx512, gatherDenseAvx512, "avx512f"};
     if (__builtin_cpu_supports("avx2"))
-        return {stepBlockQuadAvx2, "avx2"};
+        return {stepBlockQuadAvx2, gatherDenseAvx2, "avx2"};
 #endif
-    return {stepBlockQuadScalar, "scalar"};
+    return {stepBlockQuadScalar, gatherDenseScalar, "scalar"};
 }
 
 const KernelChoice &
@@ -304,6 +609,15 @@ stepBlockQuad(std::size_t m, double *DPC_RESTRICT p,
               const RoundKernelParams &k)
 {
     return kernelChoice().fn(m, p, e, eta, b, c, lo, hi, k);
+}
+
+void
+gatherDense(const GraphCsr &g, const double *DPC_RESTRICT w,
+            const SellOverlay &sell, const double *DPC_RESTRICT snap,
+            double *DPC_RESTRICT e, double deadband, std::size_t b0,
+            std::size_t b1)
+{
+    kernelChoice().gather(g, w, sell, snap, e, deadband, b0, b1);
 }
 
 const char *

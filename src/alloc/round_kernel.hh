@@ -33,6 +33,12 @@
  * body.  It runs the widest twin the CPU supports, picked once per
  * process from cpuid; the scalar body and the per-node primitives
  * stay inline here for the sparse engine and ReplicaBatch.
+ *
+ * gatherDense() is the round's other half, the dense Metropolis
+ * exchange.  Its scalar body is the CSR loop; its twins walk a
+ * sliced-ELL copy of the overlay (SellOverlay) so eight rows share
+ * one vector gather per neighbour column and no row branches on its
+ * own degree.  The same cpuid choice picks its body.
  */
 
 #ifndef DPC_ALLOC_ROUND_KERNEL_HH
@@ -41,7 +47,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <vector>
+
+#include "graph/graph.hh"
 
 #if defined(_MSC_VER)
 #define DPC_RESTRICT __restrict
@@ -217,6 +227,119 @@ stepBlockQuadScalar(std::size_t m, double *DPC_RESTRICT p,
     return max_dp;
 }
 
+/**
+ * Sliced-ELL (SELL-8, Kreutzer et al., SISC 2014) copy of a CSR
+ * overlay and its per-slot weights, built once per topology.
+ *
+ * Slice s holds rows 8s..8s+7, stored column-major: cell
+ * slice_off[s] + 8k + r is row 8s+r's k-th CSR neighbour and its
+ * weight.  Only full slices are stored; the last n % 8 rows have
+ * none and the gathers run them through the CSR body.  A row
+ * shorter than its slice's width is padded with cells pointing at
+ * the row itself with weight +0.0: the padded term is
+ * +0.0 * (x - x) = +0.0, and adding +0.0 leaves an accumulator that
+ * started at +0.0 unchanged (such an accumulator is never -0.0), so
+ * every lane runs the CSR body's exact IEEE operation sequence.
+ * Under a deadband the padded gap of 0 is always inside the gate.
+ *
+ * Hub spill.  A slice's width is not its largest degree: a star's
+ * hub would widen its slice to n - 1 columns of mostly padding.  A
+ * slice is as wide as its second-largest degree, narrowed further
+ * if its cells (8 per column plus the spill below) would exceed
+ * twice its CSR slots.  A row's columns past the width spill, in
+ * CSR order, into the slice's scalar tail (spill_*), which
+ * continues the row's accumulator after the vector columns.  So
+ * cells() <= 2x the CSR slots on any graph.
+ *
+ * Node ids index a signed 32-bit gather, so n must stay below 2^31.
+ */
+struct SellOverlay
+{
+    /** Rows per slice: one AVX-512 vector of doubles. */
+    static constexpr std::size_t kSlice = 8;
+
+    SellOverlay() = default;
+
+    /** Copy of `g` with slot weights `w` (one per CSR slot). */
+    SellOverlay(const GraphCsr &g, const double *w);
+
+    /** Full slices stored (n / kSlice). */
+    std::size_t numSlices() const
+    {
+        return slice_off.empty() ? 0 : slice_off.size() - 1;
+    }
+
+    /** Cells a full gather visits: the vector columns, padding
+     * included, plus the spilled tail. */
+    std::size_t cells() const { return col.size() + spill_col.size(); }
+
+    /** Cell offset of each slice, size numSlices() + 1; slice s is
+     * (slice_off[s + 1] - slice_off[s]) / kSlice columns wide. */
+    std::vector<std::uint32_t> slice_off;
+    /** Neighbour id and weight per cell, column-major per slice. */
+    std::vector<std::uint32_t> col;
+    std::vector<double> w;
+    /** Spill entries of slice s: [spill_off[s], spill_off[s + 1]),
+     * in row-then-CSR order. */
+    std::vector<std::uint32_t> spill_off;
+    /** Row within the slice (0..kSlice-1), neighbour id and weight
+     * per spill entry. */
+    std::vector<std::uint32_t> spill_row;
+    std::vector<std::uint32_t> spill_col;
+    std::vector<double> spill_w;
+};
+
+/**
+ * Dense Metropolis gather over nodes [b0, b1) with every node active
+ * and every link live, so no participation checks: e[i] becomes
+ * snap[i] plus the weighted gaps to its neighbours' snapshots, w[k]
+ * being CSR slot k's weight.  With a positive deadband, a transfer
+ * inside the relative gap gate is suppressed.  The IEEE operation
+ * sequence is DibaAllocator::diffuseRange's on an unmasked overlay,
+ * so either gather yields the same bits.
+ *
+ * This is the CSR body, the reference the SIMD twins are pinned to.
+ * Every gather body shares this signature; this one ignores the
+ * SELL copy, and the twins use the CSR for rows outside full slices.
+ */
+inline void
+gatherDenseScalar(const GraphCsr &g, const double *DPC_RESTRICT w,
+                  const SellOverlay & /*sell*/,
+                  const double *DPC_RESTRICT snap,
+                  double *DPC_RESTRICT e, double deadband,
+                  std::size_t b0, std::size_t b1)
+{
+    const std::uint32_t *DPC_RESTRICT offs = g.offsets.data();
+    const std::uint32_t *DPC_RESTRICT nbr = g.neighbors.data();
+    if (deadband > 0.0) {
+        for (std::size_t i = b0; i < b1; ++i) {
+            const double ei = snap[i];
+            double acc = 0.0;
+            const std::uint32_t khi = offs[i + 1];
+            for (std::uint32_t k = offs[i]; k < khi; ++k) {
+                const double ej = snap[nbr[k]];
+                const double gap = ej - ei;
+                const double gate =
+                    deadband * std::max(std::fabs(ei), std::fabs(ej));
+                if (std::fabs(gap) <= gate)
+                    continue;
+                acc += w[k] * gap;
+            }
+            e[i] = ei + acc;
+        }
+    } else {
+        for (std::size_t i = b0; i < b1; ++i) {
+            const double ei = snap[i];
+            double acc = 0.0;
+            const std::uint32_t khi = offs[i + 1];
+            for (std::uint32_t k = offs[i]; k < khi; ++k)
+                acc += w[k] * (snap[nbr[k]] - ei);
+            e[i] = ei + acc;
+        }
+    }
+}
+
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 /** 1 where round_kernel.cc compiles the AVX2/AVX-512F twins. */
 #define DPC_ROUND_KERNEL_X86 1
@@ -247,6 +370,28 @@ double stepBlockQuadAvx512(std::size_t m, double *DPC_RESTRICT p,
                            const double *DPC_RESTRICT lo,
                            const double *DPC_RESTRICT hi,
                            const RoundKernelParams &k);
+
+/**
+ * Dense gather over the SELL copy, each slice as two 4-wide AVX2
+ * gathers per column; bitwise identical to gatherDenseScalar.
+ * Callable only where the CPU has AVX2.
+ */
+void gatherDenseAvx2(const GraphCsr &g, const double *DPC_RESTRICT w,
+                     const SellOverlay &sell,
+                     const double *DPC_RESTRICT snap,
+                     double *DPC_RESTRICT e, double deadband,
+                     std::size_t b0, std::size_t b1);
+
+/**
+ * Dense gather over the SELL copy, one 8-wide AVX-512F gather per
+ * slice column; bitwise identical to gatherDenseScalar.  Callable
+ * only where the CPU has AVX-512F.
+ */
+void gatherDenseAvx512(const GraphCsr &g, const double *DPC_RESTRICT w,
+                       const SellOverlay &sell,
+                       const double *DPC_RESTRICT snap,
+                       double *DPC_RESTRICT e, double deadband,
+                       std::size_t b0, std::size_t b1);
 #else
 #define DPC_ROUND_KERNEL_X86 0
 #endif
@@ -265,8 +410,19 @@ double stepBlockQuad(std::size_t m, double *DPC_RESTRICT p,
                      const double *DPC_RESTRICT hi,
                      const RoundKernelParams &k);
 
-/** The body stepBlockQuad runs in this process: "avx512f", "avx2"
- * or "scalar". */
+/**
+ * Dense gather dispatch, the same cpuid choice as stepBlockQuad:
+ * the AVX-512F or AVX2 twin over `sell`, else the CSR body.  `sell`
+ * must be SellOverlay(g, w).
+ */
+void gatherDense(const GraphCsr &g, const double *DPC_RESTRICT w,
+                 const SellOverlay &sell,
+                 const double *DPC_RESTRICT snap,
+                 double *DPC_RESTRICT e, double deadband,
+                 std::size_t b0, std::size_t b1);
+
+/** The body stepBlockQuad and gatherDense run in this process:
+ * "avx512f", "avx2" or "scalar". */
 const char *roundKernelName();
 
 } // namespace dpc

@@ -580,6 +580,8 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         m.suppressed_frames = st.suppressed_frames;
         m.delta_frames = st.delta_frames;
         m.wake_messages = st.wake_messages;
+        m.rcvbuf_bytes = st.rcvbuf_bytes;
+        m.sndbuf_bytes = st.sndbuf_bytes;
         m.stale_epoch_frames = st.stale_epoch_frames;
         m.gaveup_frames = st.gaveup_frames;
         m.suspect_events = st.suspect_events;
@@ -1452,6 +1454,7 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
     // ---- Phase 3: assembly + release ---------------------------
 
     std::size_t surv_nodes = 0, reported = 0;
+    bool any_result = false;
     for (std::size_t i = 0; i < n; ++i)
         if (sh[plan.owner_of[i]].alive)
             ++surv_nodes;
@@ -1484,6 +1487,14 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
         out.suppressed_frames += m.suppressed_frames;
         out.delta_frames += m.delta_frames;
         out.wake_messages += m.wake_messages;
+        // The tightest buffer is the one a burst overruns first.
+        out.rcvbuf_bytes = any_result ? std::min(out.rcvbuf_bytes,
+                                                 m.rcvbuf_bytes)
+                                      : m.rcvbuf_bytes;
+        out.sndbuf_bytes = any_result ? std::min(out.sndbuf_bytes,
+                                                 m.sndbuf_bytes)
+                                      : m.sndbuf_bytes;
+        any_result = true;
         out.stale_epoch_frames += m.stale_epoch_frames;
         out.gaveup_frames += m.gaveup_frames;
         out.suspect_events += m.suspect_events;

@@ -213,6 +213,11 @@ struct ShardRunResult
     /** Boundary hot bits that FLIPPED peer-ward round over round
      * (the wake channel's real information content). */
     std::uint64_t wake_messages = 0;
+    /** Smallest effective UDP receive / send socket buffer over
+     * the reporting shards, as getsockopt reads it back
+     * (SocketTransport::Stats; 0 on TCP).  Informational. */
+    std::uint64_t rcvbuf_bytes = 0;
+    std::uint64_t sndbuf_bytes = 0;
     /** Per-phase seconds summed over shards and rounds. */
     double phase_send_s = 0.0;
     double phase_interior_s = 0.0;

@@ -43,9 +43,25 @@ peerAddr(const SocketTransport::Config &cfg, std::uint32_t s,
                     port);
 }
 
+/** The kernel's current value of an int socket option. */
+std::uint64_t
+intSockOpt(int fd, int opt)
+{
+    int v = 0;
+    socklen_t len = sizeof(v);
+    if (::getsockopt(fd, SOL_SOCKET, opt, &v, &len) != 0 || v < 0)
+        return 0;
+    return static_cast<std::uint64_t>(v);
+}
+
+/**
+ * A bound socket on an ephemeral port.  For a datagram socket,
+ * `stats` receives the receive/send buffer sizes the kernel
+ * actually granted (read back with getsockopt).
+ */
 int
 boundSocket(int type, const std::string &bind_host,
-            std::uint16_t &port_out)
+            std::uint16_t &port_out, SocketTransport::Stats &stats)
 {
     const int fd = ::socket(AF_INET, type, 0);
     DPC_ASSERT(fd >= 0, "socket(): ", std::strerror(errno));
@@ -55,8 +71,9 @@ boundSocket(int type, const std::string &bind_host,
         // A round's cut-edge burst at large n overruns the stock
         // ~212 KB datagram buffers, and every overrun costs a
         // retransmit tick to recover.  The *FORCE variants ignore
-        // rmem_max/wmem_max under CAP_NET_ADMIN; fall back to the
-        // clamped plain options otherwise (best effort).
+        // rmem_max/wmem_max but need CAP_NET_ADMIN; without it the
+        // plain options are clamped to rmem_max/wmem_max, so what
+        // was granted is read back rather than assumed.
         const int big = 8 << 20;
 #ifdef SO_RCVBUFFORCE
         if (::setsockopt(fd, SOL_SOCKET, SO_RCVBUFFORCE, &big,
@@ -70,6 +87,8 @@ boundSocket(int type, const std::string &bind_host,
 #endif
             ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &big,
                          sizeof(big));
+        stats.rcvbuf_bytes = intSockOpt(fd, SO_RCVBUF);
+        stats.sndbuf_bytes = intSockOpt(fd, SO_SNDBUF);
     }
     sockaddr_in addr = hostAddr(bind_host, 0);
     DPC_ASSERT(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
@@ -170,7 +189,7 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
                kMinFrameSize);
     const int type =
         cfg_.proto == Proto::Udp ? SOCK_DGRAM : SOCK_STREAM;
-    sock_ = boundSocket(type, cfg_.bind_host, local_port_);
+    sock_ = boundSocket(type, cfg_.bind_host, local_port_, stats_);
     if (cfg_.proto == Proto::Tcp)
         DPC_ASSERT(::listen(sock_,
                             static_cast<int>(cfg_.num_shards)) == 0,

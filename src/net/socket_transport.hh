@@ -191,6 +191,17 @@ class SocketTransport final : public Transport
         /** Boundary wake notifications shipped (0 -> 1 hot
          * transitions vs the previous round's sent bitmap). */
         std::uint64_t wake_messages = 0;
+        /** UDP socket buffers as getsockopt reads them back after
+         * the 8 MiB request (Linux reports twice the size it set,
+         * the doubling covering its bookkeeping overhead).  Without
+         * CAP_NET_ADMIN the kernel clamps the request to
+         * net.core.rmem_max / wmem_max, often ~208 KiB, and a
+         * round's cut-edge burst can then overrun the receive
+         * buffer even on loopback at zero loss: each overrun costs
+         * a retransmit.  0 on TCP, whose per-stream buffers the
+         * kernel autotunes.  Informational. */
+        std::uint64_t rcvbuf_bytes = 0;
+        std::uint64_t sndbuf_bytes = 0;
     };
 
     /** Binds the local data port (ephemeral; localPort() reports

@@ -236,6 +236,8 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
         putU64(out, m.suppressed_frames);
         putU64(out, m.delta_frames);
         putU64(out, m.wake_messages);
+        putU64(out, m.rcvbuf_bytes);
+        putU64(out, m.sndbuf_bytes);
         for (std::uint64_t b : m.edges_per_frame_hist)
             putU64(out, b);
         putF64(out, m.final_local_max_dp);
@@ -355,7 +357,8 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
               r.u64(m.stale_epoch_frames) &&
               r.u64(m.gaveup_frames) && r.u64(m.suspect_events) &&
               r.u64(m.peer_suspected) && r.u64(m.suppressed_frames) &&
-              r.u64(m.delta_frames) && r.u64(m.wake_messages)))
+              r.u64(m.delta_frames) && r.u64(m.wake_messages) &&
+              r.u64(m.rcvbuf_bytes) && r.u64(m.sndbuf_bytes)))
             return false;
         for (auto &b : m.edges_per_frame_hist)
             if (!r.u64(b))

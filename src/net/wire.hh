@@ -278,6 +278,10 @@ struct ResultMsg
     /** Boundary-node wake notifications shipped (0 -> 1 hot
      * transitions against the previous round's sent bitmap). */
     std::uint64_t wake_messages = 0;
+    /** The shard's effective UDP socket buffers
+     * (SocketTransport::Stats; 0 on TCP). */
+    std::uint64_t rcvbuf_bytes = 0;
+    std::uint64_t sndbuf_bytes = 0;
     std::array<std::uint64_t, kEdgesPerFrameBuckets>
         edges_per_frame_hist{};
     /** The shard's own last-round max |dp| (the broker maxes these

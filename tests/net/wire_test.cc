@@ -81,6 +81,8 @@ sampleFrames()
         m.suppressed_frames = 111;
         m.delta_frames = 222;
         m.wake_messages = 333;
+        m.rcvbuf_bytes = 425984;
+        m.sndbuf_bytes = 212992;
         m.edges_per_frame_hist[0] = 5;
         m.edges_per_frame_hist[kEdgesPerFrameBuckets - 1] = 6;
         m.final_local_max_dp = 1e-9;
@@ -642,12 +644,16 @@ TEST(WireCodecTest, ResultSparsityCountersRideV4Only)
     in.result.suppressed_frames = 111;
     in.result.delta_frames = 222;
     in.result.wake_messages = 333;
+    in.result.rcvbuf_bytes = 425984;
+    in.result.sndbuf_bytes = 212992;
 
     // The counters round-trip.
     const Frame out = roundTrip(in);
     EXPECT_EQ(out.result.suppressed_frames, 111u);
     EXPECT_EQ(out.result.delta_frames, 222u);
     EXPECT_EQ(out.result.wake_messages, 333u);
+    EXPECT_EQ(out.result.rcvbuf_bytes, 425984u);
+    EXPECT_EQ(out.result.sndbuf_bytes, 212992u);
 
     // The v3 Result layout (no counters) is gone: a frame stamped
     // v3 is refused rather than misread as the v4 layout.

@@ -132,6 +132,8 @@ OTHER_METRICS = (
     "suppressed_frames",
     "delta_frames",
     "wake_messages",
+    "rcvbuf_bytes",
+    "sndbuf_bytes",
 )
 METRICS = set(PERF_METRICS) | set(OTHER_METRICS)
 

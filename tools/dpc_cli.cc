@@ -398,6 +398,11 @@ cmdShard(const Args &args)
         row("delta_frames", run.delta_frames);
         row("wake_messages", run.wake_messages);
         st.print(std::cout);
+        if (run.rcvbuf_bytes != 0 || run.sndbuf_bytes != 0)
+            std::cout << "udp socket buffers (smallest shard, as "
+                         "getsockopt reports): rcvbuf="
+                      << run.rcvbuf_bytes
+                      << " sndbuf=" << run.sndbuf_bytes << "\n";
 
         Table hist({"edges_per_frame", "frames"});
         for (std::size_t b = 0;

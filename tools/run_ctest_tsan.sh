@@ -6,8 +6,9 @@
 # gossip sweeps (vertex-disjoint matchings chunked across the
 # pool), the layout-invariance suite (threaded rounds under a
 # permuted overlay), the emergency shed's fused diffuse + shed
-# sweep (chunked across the pool when num_threads > 0), and the
-# lane-chunked packet batch engine.  A
+# sweep (chunked across the pool when num_threads > 0), the dense
+# SELL gather run over a 3-worker pool whose chunks split slices,
+# and the lane-chunked packet batch engine.  A
 # clean pass here is the evidence behind DESIGN.md's "every phase
 # is snapshot-read / local-write" argument.
 #
@@ -25,4 +26,4 @@ cmake --build "$build" --target test_util test_alloc test_net \
 
 TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1"} \
     ctest --test-dir "$build" --output-on-failure -j2 \
-          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest|EmergencyShed|PacketLevelBatchTest'
+          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest|EmergencyShed|DenseGatherTest|PacketLevelBatchTest'
