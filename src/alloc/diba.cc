@@ -97,6 +97,34 @@ shedExcess(double e)
 #endif
 }
 
+/** The largest of x[0..m), -inf when m == 0.  Four independent
+ * SSE2 max chains, so the loop runs at load rate, not at maxpd
+ * latency. */
+inline double
+maxOf(const double *x, std::size_t m)
+{
+    double best = -std::numeric_limits<double>::infinity();
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    __m128d a0 = _mm_set1_pd(best);
+    __m128d a1 = a0;
+    __m128d a2 = a0;
+    __m128d a3 = a0;
+    for (; i + 8 <= m; i += 8) {
+        a0 = _mm_max_pd(a0, _mm_loadu_pd(x + i));
+        a1 = _mm_max_pd(a1, _mm_loadu_pd(x + i + 2));
+        a2 = _mm_max_pd(a2, _mm_loadu_pd(x + i + 4));
+        a3 = _mm_max_pd(a3, _mm_loadu_pd(x + i + 6));
+    }
+    const __m128d a = _mm_max_pd(_mm_max_pd(a0, a1), _mm_max_pd(a2, a3));
+    best = std::max(_mm_cvtsd_f64(a),
+                    _mm_cvtsd_f64(_mm_unpackhi_pd(a, a)));
+#endif
+    for (; i < m; ++i)
+        best = std::max(best, x[i]);
+    return best;
+}
+
 } // namespace
 
 DibaAllocator::DibaAllocator(Graph topology)
@@ -853,11 +881,12 @@ DibaAllocator::emergencyShed()
     // rounds move their surplus to nodes that still can -- still
     // fully decentralized, and all inside one control step.  The
     // stop rule lives in runEmergencyShed (round_kernel.hh).
-    runEmergencyShed(topo_.numVertices(),
-                     [this](bool diffuse) { return shedPass(diffuse); });
+    last_shed_ =
+        runEmergencyShed(topo_.numVertices(),
+                         [this](bool diffuse) { return shedPass(diffuse); });
 }
 
-double
+ShedExcess
 DibaAllocator::shedPass(bool diffuse)
 {
     // One sweep: each node gathers its diffusion from the snapshot
@@ -877,16 +906,29 @@ DibaAllocator::shedPass(bool diffuse)
                 shedRange(b, e, diffuse);
             });
     }
-    // The excess is summed serially in ORIGINAL id order, so it --
-    // and with it the stop decision -- is layout- and
+    // The excess is summed serially in ORIGINAL id order, so the
+    // sum -- and with it the stall decision -- is layout- and
     // thread-count-invariant.  A node under the line adds +0.0.
-    double over = 0.0;
+    double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t iw = wi(i);
         if (active_[iw])
-            over += shedExcess(e_[iw]);
+            sum += shedExcess(e_[iw]);
     }
-    return over;
+    // The max is order-free.  shedExcess is monotone, so with every
+    // node live it is the excess of the largest estimate, found
+    // with SIMD outside the serial chain above.  (Folded into that
+    // loop, it doubled the cost of a pass: GCC pairs the two
+    // accumulators in one vector and spills it every iteration.)
+    double max = 0.0;
+    if (num_active_ == n) {
+        max = shedExcess(maxOf(e_.data(), n));
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            if (active_[i])
+                max = std::max(max, shedExcess(e_[i]));
+    }
+    return {sum, max};
 }
 
 void

@@ -788,6 +788,10 @@ class DibaAllocator : public IterativeAllocator
      * for the current problem. */
     bool quadFastPathActive() const { return quad_fast_; }
 
+    /** The most recent emergency shed's pass count and how it
+     * ended (end == ShedEnd::none before the first). */
+    const ShedOutcome &lastShed() const { return last_shed_; }
+
     /** True when synchronized rounds run the active-set engine
      * (cfg.active_threshold >= 0 in the all-active all-quadratic
      * zero-deadband configuration). */
@@ -970,9 +974,10 @@ class DibaAllocator : public IterativeAllocator
     void emergencyShed();
 
     /** One emergencyShed pass, diffusing first when `diffuse`;
-     * returns the remaining excess sum_active max(0, e_i +
-     * kShedFloor), summed in original id order. */
-    double shedPass(bool diffuse);
+     * returns the remaining excess max(0, e_i + kShedFloor) over
+     * the active nodes: its sum, accumulated in original id order,
+     * and its largest term. */
+    ShedExcess shedPass(bool diffuse);
 
     /** shedPass body over [begin, end): the gather roundRange would
      * pick (when `diffuse`), then emergencyShedStep on every active
@@ -1058,6 +1063,8 @@ class DibaAllocator : public IterativeAllocator
      * vector<bool> bit arithmetic. */
     std::vector<std::uint8_t> active_;
     std::size_t num_active_ = 0;
+    /** What the most recent emergencyShed() did (lastShed()). */
+    ShedOutcome last_shed_;
     /**
      * Canonical overlay edge list in *working* ids (min < max,
      * enumerated in the original labeling's canonical order so

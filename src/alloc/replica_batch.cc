@@ -125,6 +125,7 @@ ReplicaBatch::ReplicaBatch(Graph topology, AllocationProblem prob,
     lane_scratch_.resize(n_);
     lane_moved_.assign(R, 0.0);
     lane_quiet_.assign(R, 0);
+    lane_shed_.assign(R, ShedOutcome{});
     lane_drops_.assign(R, 0);
     reset();
 }
@@ -379,20 +380,23 @@ void
 ReplicaBatch::shedLane(std::size_t r)
 {
     // DibaAllocator::emergencyShed restricted to one lane, under the
-    // same stop rule: shed locally, diffuse the lane, repeat while
-    // the excess shrinks.
-    runEmergencyShed(n_, [&](bool diffuse) {
+    // same stop rule: shed locally, diffuse the lane, repeat until
+    // every node is safely under the line or the excess stalls.
+    lane_shed_[r] = runEmergencyShed(n_, [&](bool diffuse) {
         if (diffuse)
             diffuseLane(r);
-        double over = 0.0;
+        double sum = 0.0;
+        double max = 0.0;
         for (std::size_t i = 0; i < n_; ++i) {
             const std::size_t s = at(i, r);
             if (e_[s] > -kShedFloor) {
                 emergencyShedStep(p_[s], e_[s], qlo_[s]);
-                over += std::max(0.0, e_[s] + kShedFloor);
+                const double x = std::max(0.0, e_[s] + kShedFloor);
+                sum += x;
+                max = std::max(max, x);
             }
         }
-        return over;
+        return ShedExcess{sum, max};
     });
 }
 

@@ -146,6 +146,13 @@ class ReplicaBatch
     /** Sum of lane r's caps. */
     double totalPower(std::size_t r) const;
 
+    /** Lane r's most recent emergency shed (end == ShedEnd::none
+     * before the first). */
+    const ShedOutcome &lastShed(std::size_t r) const
+    {
+        return lane_shed_[r];
+    }
+
     /** Lane r's budget in force. */
     double budget(std::size_t r) const { return budget_[r]; }
 
@@ -163,8 +170,9 @@ class ReplicaBatch
     /** Draw this round's per-lane edge fates (1 = delivered). */
     void drawFates();
 
-    /** Immediate per-lane shed + lane diffusion until the excess
-     * stops shrinking (DibaAllocator::emergencyShed, one lane). */
+    /** Immediate per-lane shed + lane diffusion under
+     * runEmergencyShed's stop rule (DibaAllocator::emergencyShed,
+     * one lane); the outcome lands in lastShed(r). */
     void shedLane(std::size_t r);
 
     /** One Metropolis diffusion sweep of lane r only (cold path,
@@ -209,6 +217,8 @@ class ReplicaBatch
 
     std::vector<double> lane_moved_;
     std::vector<std::size_t> lane_quiet_;
+    /** Per-lane outcome of the most recent shedLane(). */
+    std::vector<ShedOutcome> lane_shed_;
     std::size_t rounds_ = 0;
 };
 

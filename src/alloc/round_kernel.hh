@@ -111,43 +111,92 @@ emergencyShedStep(double &p, double &e, double p_min)
 }
 
 /**
+ * The largest single excess at which the emergency shed stops:
+ * every live node then holds e_i <= -kShedFloor / 2 < 0, inside the
+ * barrier's domain.
+ */
+inline constexpr double kShedSafeExcess = 0.5 * kShedFloor;
+
+/**
+ * What one emergency-shed pass leaves over the live nodes: the
+ * excess max(0, e_i + kShedFloor) summed, and its largest term.
+ */
+struct ShedExcess
+{
+    double sum = 0.0;
+    double max = 0.0;
+};
+
+/** Why an emergency shed stopped. */
+enum class ShedEnd
+{
+    none,  ///< no shed has run
+    safe,  ///< every live node at e_i <= -kShedFloor / 2
+    stall, ///< the summed excess stopped shrinking (pinned debt)
+    cap,   ///< the hard pass cap ran out
+};
+
+/** An emergency shed's pass count (the first, diffusion-free pass
+ * included) and how it ended. */
+struct ShedOutcome
+{
+    int passes = 0;
+    ShedEnd end = ShedEnd::none;
+};
+
+/**
  * The emergency shed's stop rule, shared by every engine that sheds
  * (DibaAllocator::emergencyShed, ReplicaBatch::shedLane).
  *
  * `pass(diffuse)` runs one pass over the live nodes and returns the
- * remaining excess sum max(0, e_i + kShedFloor).  The pass applies
- * emergencyShedStep to every node over the line; with `diffuse` it
- * first runs one Metropolis exchange.  After a pass, every node
- * still over the line sits at its power floor, so leftover debt
- * must travel by diffusion, one hop per exchange.
+ * ShedExcess it leaves.  The pass applies emergencyShedStep to
+ * every node over the line; with `diffuse` it first runs one
+ * Metropolis exchange.  After a pass, every node still over the
+ * line sits at its power floor, so leftover debt must travel by
+ * diffusion, one hop per exchange.
+ *
+ * The shed stops on safety: once the largest excess is at most
+ * kShedSafeExcess, every live node holds e_i <= -kShedFloor / 2, so
+ * the barrier is defined everywhere and, with sum(e) = sum(p) - P,
+ * sum(p) <= P - n * kShedFloor / 2.  Driving the excess on to zero
+ * buys no further safety.  The max is order-free, so layout and
+ * thread count cannot move the decision.
  *
  * Averaging never increases the positive part and shedding strictly
- * removes whatever reaches a node with headroom, so the excess is
- * monotone non-increasing.  Passes continue while it shrinks.  Once
- * it stalls (within 0.1%) for kStallLimit passes, the rest is pinned
- * debt no exchange can move (an over-floored partition), and the
- * shed stops.  `num_nodes` sizes a hard cap on the pass count.  The
+ * removes whatever reaches a node with headroom, so the summed
+ * excess is monotone non-increasing.  Once it stalls (within 0.1%)
+ * for kStallLimit passes, the rest is pinned debt no exchange can
+ * move (an over-floored partition), and the shed stops there
+ * instead.  `num_nodes` sizes a hard cap on the pass count.  The
  * loop always ends on a shed, never on a bare diffusion, so every
  * node with headroom leaves holding e_i <= -kShedFloor.
  */
 template <class Pass>
-void
+ShedOutcome
 runEmergencyShed(std::size_t num_nodes, Pass &&pass)
 {
     constexpr int kStallLimit = 8;
     const int hard_cap =
         64 + 8 * static_cast<int>(std::min<std::size_t>(num_nodes, 4096));
-    double over = pass(false);
-    double prev_over = std::numeric_limits<double>::infinity();
+    ShedExcess over = pass(false);
+    ShedOutcome out{1, ShedEnd::cap};
+    double prev_sum = std::numeric_limits<double>::infinity();
     int stalled = 0;
-    for (int round = 0; round < hard_cap; ++round) {
-        if (over == 0.0)
-            return;
-        stalled = over > 0.999 * prev_over ? stalled + 1 : 0;
-        if (stalled >= kStallLimit)
-            return;
-        prev_over = over;
+    for (;;) {
+        if (over.max <= kShedSafeExcess) {
+            out.end = ShedEnd::safe;
+            return out;
+        }
+        stalled = over.sum > 0.999 * prev_sum ? stalled + 1 : 0;
+        if (stalled >= kStallLimit) {
+            out.end = ShedEnd::stall;
+            return out;
+        }
+        if (out.passes > hard_cap)
+            return out;
+        prev_sum = over.sum;
         over = pass(true);
+        ++out.passes;
     }
 }
 

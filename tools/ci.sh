@@ -10,7 +10,10 @@
 #                                                the widest one from
 #                                                cpuid)
 #      + bench smoke runs of gossip_async and the multi-lane
-#        packet engine (bitwise bars only; DPC_BENCH_SMOKE=1)
+#        packet engine (bitwise bars only; DPC_BENCH_SMOKE=1), and
+#        a short run of micro_round_engine's emergency-shed bench
+#        (keeps BM_SetBudgetShed and its pass counter building and
+#        running; no perf gate)
 #      + loopback-vs-socket + overlap parity smoke: wire_shard
 #        forks 2 shard processes over 127.0.0.1 (UDP and TCP, zero
 #        loss, compute/communication overlap both on and off) and
@@ -55,7 +58,9 @@ bench_smoke_dir=$(mktemp -d)
 (cd "$bench_smoke_dir" &&
      DPC_BENCH_SMOKE=1 "$repo/build/bench/gossip_async" &&
      DPC_BENCH_SMOKE=1 \
-         "$repo/build/bench/table4_2_packet_level")
+         "$repo/build/bench/table4_2_packet_level" &&
+     "$repo/build/bench/micro_round_engine" \
+         --benchmark_filter=BM_SetBudgetShed --benchmark_min_time=0.01)
 rm -rf "$bench_smoke_dir"
 
 step "loopback-vs-socket, overlap + steady-state smoke (2 shards)"
